@@ -32,10 +32,7 @@ from .errors import (
     SolverError,
 )
 from .geometry import (
-    ChebyshevResult,
-    DistanceProfile,
-    EdgeLine,
-    IncircleResult,
+    Circle,
     Polygon,
     build_polygon,
     centroid,
@@ -69,13 +66,10 @@ __all__ = [
     "Apex",
     "BracketingFailed",
     "CenterResult",
-    "ChebyshevResult",
+    "Circle",
     "ConeMetrics",
     "DegenerateInput",
-    "DistanceProfile",
-    "EdgeLine",
     "GridSpec",
-    "IncircleResult",
     "InputError",
     "NonpositiveArgument",
     "NonpositiveHeight",

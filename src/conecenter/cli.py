@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -36,8 +37,8 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
     return value
 
 
@@ -48,8 +49,8 @@ def _height_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
     if not values:
         raise argparse.ArgumentTypeError("expected at least one height")
-    if any(not v > 0.0 for v in values):
-        raise argparse.ArgumentTypeError("heights must be > 0")
+    if not all(v > 0.0 and math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError("heights must be finite and > 0")
     return values
 
 
@@ -130,32 +131,39 @@ def _json_text(payload) -> str:
     return json.dumps(_jsonable(payload), indent=2) + "\n"
 
 
+def _json_result(payload):
+    """``(text, exit status)`` of a command that succeeded with a JSON payload."""
+    return _json_text(payload), 0
+
+
+def _circle(circle):
+    return _json_result({"center": circle.center, "radius": circle.radius})
+
+
 def _cmd_incenter(poly, args):
-    result = geometry.triangle_incenter(poly)
-    return {"center": result.center, "radius": result.radius}
+    return _circle(geometry.triangle_incenter(poly))
 
 
 def _cmd_chebyshev(poly, args):
-    result = geometry.chebyshev_center(poly)
-    return {"center": result.center, "radius": result.radius}
+    return _circle(geometry.chebyshev_center(poly))
 
 
 def _cmd_centroid(poly, args):
-    return {"centroid": geometry.centroid(poly)}
+    return _json_result({"centroid": geometry.centroid(poly)})
 
 
 def _cmd_center(poly, args):
     result = optimize.center_at_height(poly, args.height, tol=args.tol)
-    return {
+    return _json_result({
         "center": result.center,
         "height": result.height,
         "boundary_area": result.boundary_area,
         "gradient_norm": result.gradient_norm,
-        "distance_profile": result.distance_profile.distances,
+        "distance_profile": result.distances,
         "equal_angle_residual": cone.equal_angle_residual(poly, result.center, result.height),
         "iterations": result.iterations,
         "converged": result.converged,
-    }
+    })
 
 
 def _cmd_optimal(poly, args):
@@ -168,7 +176,7 @@ def _cmd_optimal(poly, args):
     }
     if result.height_over_inradius is not None:
         payload["height_over_inradius"] = result.height_over_inradius
-    return payload
+    return _json_result(payload)
 
 
 def _sweep_heights(args) -> list[float]:
@@ -203,16 +211,16 @@ def _sweep_rows(poly, heights, tol):
     return rows
 
 
-def _cmd_sweep(poly, args) -> str:
+def _cmd_sweep(poly, args):
     rows = _sweep_rows(poly, _sweep_heights(args), args.tol)
     if args.format == "json":
-        return _json_text([dict(zip(SWEEP_COLUMNS, row)) for row in rows])
+        return _json_result([dict(zip(SWEEP_COLUMNS, row)) for row in rows])
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\r\n")
     writer.writerow(SWEEP_COLUMNS)
     for row in rows:
         writer.writerow([f"{value:.{SIGNIFICANT_DIGITS}g}" for value in row])
-    return buffer.getvalue()
+    return buffer.getvalue(), 0
 
 
 def _cmd_verify(poly, args):
@@ -264,34 +272,32 @@ def _cmd_verify(poly, args):
     return "\n".join(lines) + "\n", 0 if all_ok else 1
 
 
+# Each handler takes the polygon and the parsed arguments and returns the
+# output text and the exit status.
+_COMMANDS = {
+    "incenter": _cmd_incenter,
+    "chebyshev": _cmd_chebyshev,
+    "centroid": _cmd_centroid,
+    "center": _cmd_center,
+    "optimal": _cmd_optimal,
+    "sweep": _cmd_sweep,
+    "verify": _cmd_verify,
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         poly = geometry.load_polygon(args.polygon)
-        if args.command == "incenter":
-            text = _json_text(_cmd_incenter(poly, args))
-        elif args.command == "chebyshev":
-            text = _json_text(_cmd_chebyshev(poly, args))
-        elif args.command == "centroid":
-            text = _json_text(_cmd_centroid(poly, args))
-        elif args.command == "center":
-            text = _json_text(_cmd_center(poly, args))
-        elif args.command == "optimal":
-            text = _json_text(_cmd_optimal(poly, args))
-        elif args.command == "sweep":
-            text = _cmd_sweep(poly, args)
-        else:
-            text, status = _cmd_verify(poly, args)
-            _emit(text, args.output)
-            return status
+        text, status = _COMMANDS[args.command](poly, args)
+        _emit(text, args.output)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(text, args.output)
-    return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NonpositiveArgument, NonpositiveHeight
-from .geometry import Polygon
+from .errors import InputError, NonpositiveArgument, _positive_height
+from .geometry import Polygon, signed_distances
 
 __all__ = [
     "Apex",
@@ -48,11 +48,8 @@ class Apex:
         projection = np.asarray(self.projection, dtype=float)
         if projection.shape != (2,) or not np.all(np.isfinite(projection)):
             raise InputError("apex projection must be a finite 2-D point")
-        height = float(self.height)
-        if not height > 0.0:
-            raise NonpositiveHeight(f"apex height must be > 0, got {self.height}")
         object.__setattr__(self, "projection", projection)
-        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "height", _positive_height(self.height, "apex height"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,13 +63,9 @@ class ConeMetrics:
     ratio: float
 
 
-def _distances(poly: Polygon, point) -> np.ndarray:
-    return poly.normals @ np.asarray(point, dtype=float) + poly.offsets
-
-
 def lateral_area(poly: Polygon, apex: Apex) -> float:
     """Total area of the lateral faces, ``sum(a_i * sqrt(d_i**2 + h**2)) / 2``."""
-    d = _distances(poly, apex.projection)
+    d = signed_distances(poly, apex.projection)
     return 0.5 * float(poly.lengths @ np.hypot(d, apex.height))
 
 
@@ -87,26 +80,20 @@ def boundary_areas(poly: Polygon, points, height) -> np.ndarray:
     Parameters
     ----------
     points : array_like, shape (n, 2)
-    height : positive float
+    height : finite positive float
 
     Returns
     -------
     ndarray, shape (n,)
     """
-    h = float(height)
-    if not h > 0.0:
-        raise NonpositiveHeight(f"height must be > 0, got {height}")
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    d = pts @ poly.normals.T + poly.offsets
+    h = _positive_height(height)
+    d = signed_distances(poly, np.asarray(points, dtype=float).reshape(-1, 2))
     return poly.area + 0.5 * (np.hypot(d, h) @ poly.lengths)
 
 
 def cone_volume(poly: Polygon, height) -> float:
     """Cone volume ``base_area * height / 3``."""
-    h = float(height)
-    if not h > 0.0:
-        raise NonpositiveHeight(f"height must be > 0, got {height}")
-    return poly.area * h / 3.0
+    return poly.area * _positive_height(height) / 3.0
 
 
 def isoperimetric_ratio(poly: Polygon, apex: Apex) -> float:
@@ -150,9 +137,7 @@ def equal_angle_residual(poly: Polygon, point, height) -> float:
     and the base plane.  Zero exactly when all faces meet the base at the
     same angle, as they do over the incenter of a triangle.
     """
-    h = float(height)
-    if not h > 0.0:
-        raise NonpositiveHeight(f"height must be > 0, got {height}")
-    d = _distances(poly, point)
+    h = _positive_height(height)
+    d = signed_distances(poly, point)
     s = d / np.hypot(d, h)
     return float(s.max() - s.min())

@@ -5,6 +5,8 @@ maps them to exit status 2); ``SolverError`` subclasses flag numerical
 failures in an otherwise valid problem (exit status 1).
 """
 
+import math
+
 
 class InputError(ValueError):
     """Invalid input data or parameters."""
@@ -27,7 +29,7 @@ class NotConvex(InputError):
 
 
 class NonpositiveHeight(InputError):
-    """Cone height must be strictly positive."""
+    """Cone height must be finite and strictly positive."""
 
 
 class NonpositiveArgument(InputError):
@@ -48,3 +50,11 @@ class BracketingFailed(SolverError):
     def __init__(self, message: str, trace=()):
         super().__init__(message)
         self.trace = tuple(trace)
+
+
+def _positive_height(height, what="height") -> float:
+    """``float(height)``; NonpositiveHeight unless it is finite and > 0."""
+    h = float(height)
+    if not (h > 0.0 and math.isfinite(h)):
+        raise NonpositiveHeight(f"{what} must be finite and > 0, got {height}")
+    return h

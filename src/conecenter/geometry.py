@@ -8,7 +8,7 @@ Vertices are stored counterclockwise; clockwise input is reversed during
 construction.  Edge ``i`` joins vertex ``i`` to vertex ``i + 1`` (cyclic)
 and carries its supporting line in Hesse normal form,
 
-    signed_distance(x) = unit_normal @ x + offset,
+    d_i(x) = normals[i] @ x + offsets[i],
 
 with the unit normal pointing to the interior side of the edge.  At any
 interior point of a convex polygon every signed distance is positive.
@@ -33,11 +33,8 @@ from .errors import (
 )
 
 __all__ = [
-    "EdgeLine",
     "Polygon",
-    "DistanceProfile",
-    "IncircleResult",
-    "ChebyshevResult",
+    "Circle",
     "build_polygon",
     "signed_distances",
     "triangle_incenter",
@@ -58,54 +55,27 @@ def _readonly(values) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class EdgeLine:
-    """Supporting line of one polygon edge, in Hesse normal form."""
-
-    unit_normal: np.ndarray
-    offset: float
-    length: float
-
-    def signed_distance(self, point) -> float:
-        """Distance from ``point`` to the line, positive on the interior side."""
-        return float(self.unit_normal @ np.asarray(point, dtype=float) + self.offset)
-
-
-@dataclass(frozen=True, eq=False)
 class Polygon:
-    """Simple polygon with precomputed area and edge lines.
+    """Simple polygon as read-only arrays; build it with :func:`build_polygon`.
 
-    ``vertices`` is a read-only ``(m, 2)`` array in counterclockwise order,
-    ``area`` the positive shoelace area, and ``edges[i]`` spans
-    ``vertices[i]`` to ``vertices[i + 1]`` (cyclic).  Use
-    :func:`build_polygon` to construct instances.
+    ``vertices`` is ``(m, 2)`` in counterclockwise order.  Row ``i`` of
+    ``normals`` ``(m, 2)``, ``offsets`` ``(m,)`` and ``lengths`` ``(m,)``
+    describes edge ``i``, from ``vertices[i]`` to ``vertices[i + 1]``
+    (cyclic): its inward unit normal, the offset of its supporting line and
+    its length.  ``area`` is the positive shoelace area and ``diameter`` the
+    largest pairwise vertex distance.
     """
 
     vertices: np.ndarray
+    normals: np.ndarray
+    offsets: np.ndarray
+    lengths: np.ndarray
     area: float
-    edges: tuple[EdgeLine, ...]
-
-    @cached_property
-    def normals(self) -> np.ndarray:
-        """(m, 2) inward unit normals, one row per edge."""
-        return _readonly([e.unit_normal for e in self.edges])
-
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        return _readonly([e.offset for e in self.edges])
-
-    @cached_property
-    def lengths(self) -> np.ndarray:
-        return _readonly([e.length for e in self.edges])
+    diameter: float
 
     @cached_property
     def perimeter(self) -> float:
         return float(np.sum(self.lengths))
-
-    @cached_property
-    def diameter(self) -> float:
-        """Largest pairwise vertex distance."""
-        diff = self.vertices[:, None, :] - self.vertices[None, :, :]
-        return float(np.sqrt((diff**2).sum(axis=2)).max())
 
     @cached_property
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
@@ -123,21 +93,9 @@ class Polygon:
 
 
 @dataclass(frozen=True, eq=False)
-class DistanceProfile:
-    """Signed distances from one point to every edge line of a polygon."""
+class Circle:
+    """Center and radius of an inscribed circle (incircle or Chebyshev circle)."""
 
-    distances: np.ndarray
-    point: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class IncircleResult:
-    center: np.ndarray
-    radius: float
-
-
-@dataclass(frozen=True, eq=False)
-class ChebyshevResult:
     center: np.ndarray
     radius: float
 
@@ -235,48 +193,43 @@ def build_polygon(points) -> Polygon:
     diameter = float(np.sqrt((diff**2).sum(axis=2)).max())
     if diameter == 0.0:
         raise DegenerateInput("all vertices coincide")
+    signed = _shoelace(verts)
+    if signed < 0:
+        verts = verts[::-1].copy()
+        signed = -signed
     edge_vec = np.roll(verts, -1, axis=0) - verts
     lengths = np.linalg.norm(edge_vec, axis=1)
     if np.any(lengths <= 1e-12 * diameter):
         raise DegenerateInput("duplicate consecutive vertices")
-    signed = _shoelace(verts)
-    if abs(signed) <= AREA_EPS * diameter**2:
+    if signed <= AREA_EPS * diameter**2:
         raise DegenerateInput("polygon area is numerically zero")
-    if signed < 0:
-        verts = verts[::-1].copy()
-        signed = -signed
     _check_simple(verts)
 
-    edge_vec = np.roll(verts, -1, axis=0) - verts
-    lengths = np.linalg.norm(edge_vec, axis=1)
     tangents = edge_vec / lengths[:, None]
     # left of the travel direction, which is the interior side for CCW order
     normals = np.column_stack([-tangents[:, 1], tangents[:, 0]])
     offsets = -(normals * verts).sum(axis=1)
-    edges = tuple(
-        EdgeLine(
-            unit_normal=_readonly(normals[i]),
-            offset=float(offsets[i]),
-            length=float(lengths[i]),
-        )
-        for i in range(len(verts))
+    return Polygon(
+        vertices=_readonly(verts),
+        normals=_readonly(normals),
+        offsets=_readonly(offsets),
+        lengths=_readonly(lengths),
+        area=float(signed),
+        diameter=diameter,
     )
-    return Polygon(vertices=_readonly(verts), area=float(signed), edges=edges)
 
 
-def signed_distances(poly: Polygon, point) -> DistanceProfile:
-    """Signed distance from ``point`` to every edge line of ``poly``.
+def signed_distances(poly: Polygon, points) -> np.ndarray:
+    """Signed distances from points to every edge line of ``poly``.
 
-    The profile is positive on every edge exactly when the point lies
-    strictly inside a convex polygon.
+    One point of shape ``(2,)`` gives shape ``(m,)``; a batch of shape
+    ``(n, 2)`` gives shape ``(n, m)``.  A point's distances are all
+    positive exactly when it lies strictly inside a convex polygon.
     """
-    p = np.asarray(point, dtype=float)
-    return DistanceProfile(
-        distances=_readonly(poly.normals @ p + poly.offsets), point=_readonly(p)
-    )
+    return np.asarray(points, dtype=float) @ poly.normals.T + poly.offsets
 
 
-def triangle_incenter(poly: Polygon) -> IncircleResult:
+def triangle_incenter(poly: Polygon) -> Circle:
     """Incircle of a triangle from the side-length barycentric formula.
 
     The center is ``(a*A + b*B + c*C) / (a + b + c)`` with each side length
@@ -289,10 +242,10 @@ def triangle_incenter(poly: Polygon) -> IncircleResult:
     b = float(np.linalg.norm(a_v - c_v))
     c = float(np.linalg.norm(b_v - a_v))
     center = (a * a_v + b * b_v + c * c_v) / (a + b + c)
-    return IncircleResult(center=_readonly(center), radius=2.0 * poly.area / (a + b + c))
+    return Circle(center=_readonly(center), radius=2.0 * poly.area / (a + b + c))
 
 
-def chebyshev_center(poly: Polygon) -> ChebyshevResult:
+def chebyshev_center(poly: Polygon) -> Circle:
     """Deepest point of a convex polygon: maximize the least edge distance.
 
     Solved as the linear program ``max rho`` subject to
@@ -301,7 +254,7 @@ def chebyshev_center(poly: Polygon) -> ChebyshevResult:
     """
     if not poly.is_convex:
         raise NotConvex("the Chebyshev center is only computed for convex polygons")
-    m = len(poly.edges)
+    m = len(poly.vertices)
     result = linprog(
         c=[0.0, 0.0, -1.0],
         A_ub=np.column_stack([-poly.normals, np.ones(m)]),
@@ -311,7 +264,7 @@ def chebyshev_center(poly: Polygon) -> ChebyshevResult:
     )
     if not result.success:
         raise SolverError(f"Chebyshev linear program failed: {result.message}")
-    return ChebyshevResult(center=_readonly(result.x[:2]), radius=float(result.x[2]))
+    return Circle(center=_readonly(result.x[:2]), radius=float(result.x[2]))
 
 
 def centroid(poly: Polygon) -> np.ndarray:

@@ -25,9 +25,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cone import Apex, isoperimetric_ratio
-from .errors import BracketingFailed, InputError, NonpositiveHeight, SolverError
+from .errors import BracketingFailed, InputError, SolverError, _positive_height
 from .geometry import (
-    DistanceProfile,
     Polygon,
     centroid,
     chebyshev_center,
@@ -56,13 +55,14 @@ _POLISH_STEPS = 4
 
 @dataclass(frozen=True, eq=False)
 class CenterResult:
-    """Outcome of one fixed-height minimization."""
+    """Outcome of one fixed-height minimization; ``distances`` are the
+    signed edge distances at ``center``."""
 
     center: np.ndarray
     height: float
     boundary_area: float
     gradient_norm: float
-    distance_profile: DistanceProfile
+    distances: np.ndarray
     iterations: int
     converged: bool
 
@@ -94,10 +94,8 @@ class SweepEntry:
 
 def boundary_gradient(poly: Polygon, point, height) -> np.ndarray:
     """Analytic gradient of the boundary area with respect to the projection."""
-    h = float(height)
-    if not h > 0.0:
-        raise NonpositiveHeight(f"height must be > 0, got {height}")
-    d = poly.normals @ np.asarray(point, dtype=float) + poly.offsets
+    h = _positive_height(height)
+    d = signed_distances(poly, point)
     return poly.normals.T @ (0.5 * poly.lengths * d / np.hypot(d, h))
 
 
@@ -129,7 +127,7 @@ def center_at_height(poly: Polygon, height, tol=1e-10, x0=None, max_iter=200) ->
     Parameters
     ----------
     poly : Polygon
-    height : positive float
+    height : finite positive float
     tol : positive float
         Convergence when the gradient norm drops to ``tol * perimeter / 2``.
     x0 : array_like, optional
@@ -148,16 +146,14 @@ def center_at_height(poly: Polygon, height, tol=1e-10, x0=None, max_iter=200) ->
     the value before the gradient test fires; ``converged`` is then judged
     by the gradient test after the polish.
     """
-    h = float(height)
-    if not h > 0.0:
-        raise NonpositiveHeight(f"height must be > 0, got {height}")
+    h = _positive_height(height)
     if not tol > 0.0:
         raise InputError(f"tol must be > 0, got {tol}")
-    normals, lengths, offsets = poly.normals, poly.lengths, poly.offsets
+    normals, lengths = poly.normals, poly.lengths
     gradient_tol = tol * 0.5 * poly.perimeter
 
     def parts(x):
-        d = normals @ x + offsets
+        d = signed_distances(poly, x)
         slant = np.hypot(d, h)
         value = 0.5 * float(lengths @ slant)
         grad = normals.T @ (0.5 * lengths * d / slant)
@@ -215,7 +211,7 @@ def center_at_height(poly: Polygon, height, tol=1e-10, x0=None, max_iter=200) ->
         height=h,
         boundary_area=poly.area + value,
         gradient_norm=gradient_norm,
-        distance_profile=signed_distances(poly, x),
+        distances=signed_distances(poly, x),
         iterations=iterations,
         converged=bool(converged),
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import boundary_areas
-from .errors import InputError, NonpositiveHeight
+from .errors import InputError, _positive_height
 from .geometry import Polygon
 
 __all__ = [
@@ -83,9 +83,7 @@ def grid_min_boundary(poly: Polygon, height, spec: GridSpec | None = None):
     go to the lexicographically smallest grid coordinates.  Returns
     ``(point, value)``.
     """
-    h = float(height)
-    if not h > 0.0:
-        raise NonpositiveHeight(f"height must be > 0, got {height}")
+    h = _positive_height(height)
     if spec is None:
         spec = default_grid_spec(poly)
     lower_bound = np.asarray(spec.box[0], dtype=float)
@@ -117,8 +115,8 @@ def grid_min_ratio(poly: Polygon, spec_xy: GridSpec | None = None, h_range=(0.05
     with the same zoom schedule.  Returns ``(point, height, value)``.
     """
     h_lo, h_hi = (float(h) for h in h_range)
-    if not 0.0 < h_lo < h_hi:
-        raise InputError(f"height range must satisfy 0 < lo < hi, got {h_range}")
+    if not 0.0 < h_lo < h_hi < math.inf:
+        raise InputError(f"height range must satisfy 0 < lo < hi < inf, got {h_range}")
     if h_samples < 3:
         raise InputError(f"need at least 3 height samples, got {h_samples}")
     if spec_xy is None:

@@ -218,7 +218,7 @@ def tangent_circle_center(poly):
     over the diameter: such a circle is the Chebyshev circle, so the spread
     vanishes exactly when it exists."""
     center = chebyshev_center(poly).center
-    d = signed_distances(poly, center).distances
+    d = signed_distances(poly, center)
     return center if d.max() - d.min() <= TANGENTIAL_SPREAD * poly.diameter else None
 
 
@@ -267,7 +267,7 @@ def test_criterion_09_equal_angle_condition(convex_population):
             equal[tag, h] = residual
             offset = np.linalg.norm(res.center - incircle_center) / poly.diameter
             worst_offset = max(worst_offset, offset)
-            interior_ok &= bool(np.all(res.distance_profile.distances > 0.0))
+            interior_ok &= bool(np.all(res.distances > 0.0))
     worst = max(equal, key=equal.get)
     least = min(unequal, key=unequal.get)
     trapezoid = unequal["trapezoid", 1.0]

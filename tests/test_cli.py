@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,8 @@ import pytest
 from conecenter import Apex, boundary_area, load_polygon, signed_distances
 from conecenter.cli import main
 
-FIXTURES = Path(__file__).resolve().parent.parent / "polygons"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "polygons"
 TRAPEZOID = str(FIXTURES / "trapezoid.json")
 TRIANGLE = str(FIXTURES / "unit_right_triangle.json")
 SQUARE = str(FIXTURES / "unit_square.json")
@@ -75,7 +77,7 @@ def test_center_roundtrip_reproduces_reported_metrics(capsys):
     poly = load_polygon(TRAPEZOID)
     apex = Apex(payload["center"], payload["height"])
     assert boundary_area(poly, apex) == pytest.approx(payload["boundary_area"], rel=1e-10)
-    profile = signed_distances(poly, payload["center"]).distances
+    profile = signed_distances(poly, payload["center"])
     assert profile == pytest.approx(payload["distance_profile"], rel=1e-10)
 
 
@@ -223,20 +225,27 @@ def test_chebyshev_on_nonconvex_exits_2(tmp_path, capsys):
     assert err != ""
 
 
-def test_nonpositive_height_rejected_by_argparse():
-    with pytest.raises(SystemExit) as exc:
-        main(["center", TRAPEZOID, "--height", "-1"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["center", TRAPEZOID, "--height", "abc"])
-    assert exc.value.code == 2
+def test_nonpositive_height_rejected_by_argparse(capsys):
+    for argv in (
+        ["center", TRAPEZOID, "--height", "-1"],
+        ["center", TRAPEZOID, "--height", "abc"],
+        ["center", TRAPEZOID, "--height", "inf"],
+        ["sweep", TRAPEZOID, "--heights", "1,inf"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_module_entry_point_runs():
+    # the child imports the package from src/, as pytest's pythonpath does
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "conecenter", "centroid", SQUARE],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["centroid"] == pytest.approx([0.5, 0.5])

@@ -37,6 +37,8 @@ def test_apex_validation():
         Apex(projection=(0.0, 0.0), height=0.0)
     with pytest.raises(NonpositiveHeight):
         Apex(projection=(0.0, 0.0), height=-1.0)
+    with pytest.raises(NonpositiveHeight):
+        Apex(projection=(0.0, 0.0), height=math.inf)
     with pytest.raises(InputError):
         Apex(projection=(0.0, float("nan")), height=1.0)
     with pytest.raises(InputError):
@@ -81,6 +83,8 @@ def test_cone_volume():
         cone_volume(TRAPEZOID, 0.0)
     with pytest.raises(NonpositiveHeight):
         cone_volume(TRAPEZOID, -2.0)
+    with pytest.raises(NonpositiveHeight):
+        cone_volume(TRAPEZOID, math.inf)
 
 
 def test_triangle_boundary_closed_form_at_incenter():
@@ -218,7 +222,7 @@ def test_equal_angle_residual_zero_at_square_center():
 
 def test_distance_profile_feeds_cone_measures():
     p = (1.0, 0.0)
-    d = signed_distances(TRAPEZOID, p).distances
+    d = signed_distances(TRAPEZOID, p)
     slant = np.hypot(d, 2.0)
     expected = float(0.5 * TRAPEZOID.lengths @ slant)
     assert lateral_area(TRAPEZOID, Apex(p, 2.0)) == pytest.approx(expected, rel=1e-14)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -51,37 +52,85 @@ def test_edge_lines_are_normalized_and_pass_through_endpoints():
         poly = build_polygon(verts)
         scale = poly.diameter
         assert np.allclose(np.hypot(*poly.normals.T), 1.0, atol=1e-12)
-        for i, edge in enumerate(poly.edges):
+        for i, (normal, offset, length) in enumerate(
+            zip(poly.normals, poly.offsets, poly.lengths)
+        ):
             a = poly.vertices[i]
             b = poly.vertices[(i + 1) % len(poly.vertices)]
-            assert abs(edge.signed_distance(a)) <= 1e-9 * scale
-            assert abs(edge.signed_distance(b)) <= 1e-9 * scale
-            assert edge.length == pytest.approx(np.linalg.norm(b - a), rel=1e-12)
+            assert abs(normal @ a + offset) <= 1e-9 * scale
+            assert abs(normal @ b + offset) <= 1e-9 * scale
+            assert length == pytest.approx(np.linalg.norm(b - a), rel=1e-12)
         assert poly.perimeter == pytest.approx(poly.lengths.sum(), rel=1e-15)
+
+
+def test_polygon_is_frozen_with_read_only_arrays():
+    poly = build_polygon(TRAPEZOID)
+    lower, upper = poly.bounding_box
+    arrays = {
+        "vertices": poly.vertices,
+        "normals": poly.normals,
+        "offsets": poly.offsets,
+        "lengths": poly.lengths,
+        "bounding_box[0]": lower,
+        "bounding_box[1]": upper,
+    }
+    for name, values in arrays.items():
+        assert not values.flags.writeable, name
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+    assert poly.normals.shape == (4, 2)
+    assert poly.offsets.shape == poly.lengths.shape == (4,)
+    for field in ("vertices", "normals", "area", "diameter"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(poly, field, getattr(poly, field))
 
 
 def test_normals_point_inward():
     for verts in (RIGHT_TRIANGLE, TRAPEZOID, SQUARE):
         poly = build_polygon(verts)
-        inward = signed_distances(poly, centroid(poly)).distances
+        inward = signed_distances(poly, centroid(poly))
         assert np.all(inward > 0.0)
 
 
 def test_signed_distances_unit_right_triangle_origin():
     poly = build_polygon(RIGHT_TRIANGLE)
-    d = signed_distances(poly, (0.0, 0.0)).distances
+    d = signed_distances(poly, (0.0, 0.0))
     assert sorted(d) == pytest.approx([0.0, 0.0, 1.0 / math.sqrt(2.0)], abs=1e-15)
 
 
 def test_signed_distances_trapezoid_interior_point():
     poly = build_polygon(TRAPEZOID)
-    d = signed_distances(poly, (1.0, 0.0)).distances
-    assert d == pytest.approx([3.0 / math.sqrt(5.0), 1.0, 3.0 / math.sqrt(5.0), 1.0], rel=1e-14)
+    expected = [3.0 / math.sqrt(5.0), 1.0, 3.0 / math.sqrt(5.0), 1.0]
+    d = signed_distances(poly, (1.0, 0.0))
+    assert d.shape == (4,)
+    assert d == pytest.approx(expected, rel=1e-14)
+    batch = signed_distances(poly, [(1.0, 0.0), (1.0, 0.0)])
+    assert batch.shape == (2, 4)
+    for row in batch:
+        assert row == pytest.approx(expected, rel=1e-14)
+
+
+def test_signed_distances_batch_rows_match_single_points():
+    # A batch goes through a matrix-matrix product and one point through a
+    # matrix-vector product; BLAS may fuse the two multiply-adds of each
+    # distance in a different order, so rows agree to one rounding.
+    rng = np.random.default_rng(29)
+    eps = np.finfo(float).eps
+    for verts in (RIGHT_TRIANGLE, TRAPEZOID, helpers.random_triangle(rng)):
+        poly = build_polygon(verts)
+        for scale in (1e-3, 1.0, 1e6):
+            pts = scale * rng.standard_normal((50, 2))
+            batch = signed_distances(poly, pts)
+            assert batch.shape == (50, len(poly.vertices))
+            for k, p in enumerate(pts):
+                single = signed_distances(poly, p)
+                bound = 2.0 * eps * (np.abs(poly.normals) @ np.abs(p) + np.abs(poly.offsets))
+                assert np.all(np.abs(batch[k] - single) <= bound)
 
 
 def test_signed_distance_negative_outside():
     poly = build_polygon(SQUARE)
-    d = signed_distances(poly, (2.0, 0.5)).distances
+    d = signed_distances(poly, (2.0, 0.5))
     assert d.min() == pytest.approx(-1.0, rel=1e-14)
 
 
@@ -94,7 +143,7 @@ def test_length_weighted_distance_identity(coords, px, py):
     verts = np.array(coords).reshape(3, 2)
     assume(abs(helpers.shoelace(verts)) >= 0.1)
     poly = build_polygon(verts)
-    d = signed_distances(poly, (px, py)).distances
+    d = signed_distances(poly, (px, py))
     lhs = float(poly.lengths @ d)
     scale = max(1.0, float(poly.lengths @ np.abs(d)))
     assert abs(lhs - 2.0 * poly.area) <= 1e-9 * scale
@@ -192,7 +241,7 @@ def test_incenter_is_equidistant_from_all_sides():
     for _ in range(100):
         poly = build_polygon(helpers.random_triangle(rng))
         res = triangle_incenter(poly)
-        d = signed_distances(poly, res.center).distances
+        d = signed_distances(poly, res.center)
         assert d == pytest.approx([res.radius] * 3, rel=1e-10)
         assert res.radius == pytest.approx(2.0 * poly.area / poly.perimeter, rel=1e-12)
 
@@ -200,7 +249,7 @@ def test_incenter_is_equidistant_from_all_sides():
 def test_chebyshev_center_trapezoid():
     res = chebyshev_center(build_polygon(TRAPEZOID))
     assert res.radius == pytest.approx(1.0, abs=1e-8)
-    d = signed_distances(build_polygon(TRAPEZOID), res.center).distances
+    d = signed_distances(build_polygon(TRAPEZOID), res.center)
     assert d.min() == pytest.approx(res.radius, abs=1e-8)
 
 
@@ -231,7 +280,7 @@ def test_chebyshev_radius_is_maximal():
         xs = rng.uniform(lo[0], hi[0], size=200)
         ys = rng.uniform(lo[1], hi[1], size=200)
         probes = np.column_stack([xs, ys])
-        best = max(signed_distances(poly, p).distances.min() for p in probes)
+        best = max(signed_distances(poly, p).min() for p in probes)
         assert res.radius >= best - 1e-9
 
 
@@ -262,7 +311,7 @@ def test_interior_test_matches_ray_casting():
         lo, hi = poly.bounding_box
         pts = rng.uniform(lo - 0.5, hi + 0.5, size=(400, 2))
         for p in pts:
-            d = signed_distances(poly, p).distances
+            d = signed_distances(poly, p)
             # sign test only decides convex polygons; skip ambiguous near-boundary draws
             if abs(d).min() < 1e-9:
                 continue

@@ -78,8 +78,8 @@ def test_center_result_fields_are_consistent():
     assert res.boundary_area == pytest.approx(
         boundary_area(TRAPEZOID, Apex(res.center, 2.0)), rel=1e-14
     )
-    recomputed = signed_distances(TRAPEZOID, res.center).distances
-    assert res.distance_profile.distances == pytest.approx(recomputed, rel=1e-14)
+    recomputed = signed_distances(TRAPEZOID, res.center)
+    assert res.distances == pytest.approx(recomputed, rel=1e-14)
     assert res.iterations >= 1
 
 
@@ -166,6 +166,8 @@ def test_center_rejects_bad_arguments():
         center_at_height(TRAPEZOID, 0.0)
     with pytest.raises(NonpositiveHeight):
         center_at_height(TRAPEZOID, -1.0)
+    with pytest.raises(NonpositiveHeight):
+        center_at_height(TRAPEZOID, math.inf)
     with pytest.raises(InputError):
         center_at_height(TRAPEZOID, 1.0, tol=0.0)
     with pytest.raises(InputError):

@@ -68,6 +68,8 @@ def test_default_grid_spec_pads_bounding_box_by_a_diameter():
 def test_grid_min_boundary_rejects_bad_height():
     with pytest.raises(NonpositiveHeight):
         grid_min_boundary(RIGHT_TRIANGLE, 0.0)
+    with pytest.raises(NonpositiveHeight):
+        grid_min_boundary(RIGHT_TRIANGLE, math.inf)
 
 
 def test_grid_min_boundary_finds_triangle_center():
@@ -133,6 +135,8 @@ def test_grid_min_ratio_argument_validation():
         grid_min_ratio(RIGHT_TRIANGLE, h_range=(0.0, 2.0))
     with pytest.raises(InputError):
         grid_min_ratio(RIGHT_TRIANGLE, h_range=(2.0, 1.0))
+    with pytest.raises(InputError, match="height range"):
+        grid_min_ratio(RIGHT_TRIANGLE, h_range=(1.0, math.inf))
     with pytest.raises(InputError):
         grid_min_ratio(RIGHT_TRIANGLE, h_samples=2)
 
