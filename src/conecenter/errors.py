@@ -41,7 +41,7 @@ class SolverError(RuntimeError):
 
 
 class BracketingFailed(SolverError):
-    """No bracket around an interior minimum of the height objective was found.
+    """The height search found no sign change of the height derivative.
 
     ``trace`` holds the sampled ``(height, objective)`` pairs, sorted by
     height, for diagnosis.

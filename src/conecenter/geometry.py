@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     DegenerateInput,
@@ -254,6 +253,10 @@ def chebyshev_center(poly: Polygon) -> Circle:
     """
     if not poly.is_convex:
         raise NotConvex("the Chebyshev center is only computed for convex polygons")
+    # imported here: loading it costs most of a CLI process's start-up
+    # and only this LP needs it
+    from scipy.optimize import linprog
+
     m = len(poly.vertices)
     result = linprog(
         c=[0.0, 0.0, -1.0],

@@ -11,9 +11,9 @@ semidefinite Hessian ``sum_i a_i * h**2 / (d_i**2 + h**2)**1.5 *
 n_i n_i^T / 2``, so a damped Newton iteration with Armijo backtracking
 converges quickly from the centroid.
 
-``optimal_cone`` minimizes ``boundary**3 / volume**2`` over the height by
-golden-section search on a bracket grown geometrically around a reference
-height; ``height_sweep`` runs independent fixed-height solves.
+``optimal_cone`` minimizes ``F = boundary**3 / volume**2`` over the height
+as the root of ``h * d(log F)/dh``, which the envelope theorem reads off
+each inner solve; ``height_sweep`` runs independent fixed-height solves.
 """
 
 from __future__ import annotations
@@ -26,13 +26,7 @@ import numpy as np
 
 from .cone import Apex, isoperimetric_ratio
 from .errors import BracketingFailed, InputError, SolverError, _positive_height
-from .geometry import (
-    Polygon,
-    centroid,
-    chebyshev_center,
-    signed_distances,
-    triangle_incenter,
-)
+from .geometry import Polygon, centroid, signed_distances, triangle_incenter
 
 __all__ = [
     "CenterResult",
@@ -47,8 +41,6 @@ __all__ = [
 ARMIJO_SLOPE = 1e-4
 BACKTRACK_FACTOR = 0.5
 MAX_CONDITION = 1e12
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_BRACKET_FACTOR = 64.0
 _MAX_EXPANSIONS = 8
 _POLISH_STEPS = 4
 
@@ -217,91 +209,80 @@ def center_at_height(poly: Polygon, height, tol=1e-10, x0=None, max_iter=200) ->
     )
 
 
-def _reference_height(poly: Polygon) -> float:
-    if len(poly.vertices) == 3:
-        return triangle_incenter(poly).radius
-    if poly.is_convex:
-        return chebyshev_center(poly).radius
-    # nonconvex: 2 * area / perimeter matches the inradius on tangential bases
-    return 2.0 * poly.area / poly.perimeter
-
-
 def optimal_cone(poly: Polygon, tol=1e-10) -> OptimalCone:
-    """Minimize ``boundary**3 / volume**2`` over the apex height.
+    """Minimize ``F(h) = boundary**3 / volume**2`` over the apex height.
 
-    The one-variable objective ``F(h)`` (with the projection re-optimized
-    at every height) diverges at both ends of ``(0, inf)``, so an interior
-    minimum is bracketed by sliding the window ``[h0/64, 64*h0]`` around
-    the reference height ``h0`` (the Chebyshev radius, or the inradius for
-    triangles) and then reduced by golden-section search to relative width
-    ``tol``.
+    With the projection re-optimized at every height, the envelope theorem
+    gives the derivative of ``log F`` in ``u = log h`` from one inner solve,
+
+        s(u) = 1.5 * h**2 * sum_i a_i / sqrt(d_i**2 + h**2) / B - 2,
+
+    with ``B`` the boundary area and ``d_i`` the edge distances at the
+    center.  ``s < 0`` as ``h -> 0`` and ``s > 0`` as ``h -> inf``; the root
+    is bracketed in steps of ``log 64`` from ``2 * area / perimeter`` and
+    found by Illinois regula falsi to a bracket at most ``tol`` wide in
+    ``u``.  Each inner solve starts at the previous center; the answer is
+    the last one.
 
     Raises
     ------
     BracketingFailed
-        If no interior minimum shows up in the expanded range; the
-        exception carries the sampled ``(height, objective)`` trace.
+        If ``s`` shows no sign change in the expanded range; the exception
+        carries the sampled ``(height, F)`` trace.
     """
     if not tol > 0.0:
         raise InputError(f"tol must be > 0, got {tol}")
-    base_area = poly.area
-    values: dict[float, float] = {}
-    results: dict[float, CenterResult] = {}
     order: list[CenterResult] = []
 
-    def objective(h: float) -> float:
-        if h not in values:
-            res = center_at_height(poly, h, tol=tol)
-            values[h] = res.boundary_area**3 / (base_area * h / 3.0) ** 2
-            results[h] = res
-            order.append(res)
-        return values[h]
+    def slope(u: float) -> float:
+        h = math.exp(u)
+        res = center_at_height(poly, h, tol=tol, x0=order[-1].center if order else None)
+        order.append(res)
+        inv_slant = 1.0 / np.hypot(res.distances, h)
+        return 1.5 * h * h * float(poly.lengths @ inv_slant) / res.boundary_area - 2.0
 
-    h_ref = _reference_height(poly)
-    lo, mid, hi = h_ref / _BRACKET_FACTOR, h_ref, h_ref * _BRACKET_FACTOR
-    f_lo, f_mid, f_hi = objective(lo), objective(mid), objective(hi)
+    # b is always the newest point; a the one before, then the far end of the bracket
+    b = math.log(2.0 * poly.area / poly.perimeter)
+    s_b = slope(b)
+    a, s_a = b, s_b
+    step = math.copysign(math.log(64.0), -s_b)
     for _ in range(_MAX_EXPANSIONS):
-        if f_lo <= f_mid:
-            hi, f_hi, mid, f_mid = mid, f_mid, lo, f_lo
-            lo = lo / _BRACKET_FACTOR
-            f_lo = objective(lo)
-        elif f_hi <= f_mid:
-            lo, f_lo, mid, f_mid = mid, f_mid, hi, f_hi
-            hi = hi * _BRACKET_FACTOR
-            f_hi = objective(hi)
-        else:
+        if s_a * s_b <= 0.0:
             break
-    else:
+        a, s_a = b, s_b
+        b += step
+        s_b = slope(b)
+    if s_a * s_b > 0.0:
         raise BracketingFailed(
-            "no interior minimum of the height objective was bracketed",
-            trace=sorted((h, values[h]) for h in values),
+            "no sign change of the height derivative was bracketed",
+            trace=sorted(
+                (r.height, r.boundary_area**3 / (poly.area * r.height / 3.0) ** 2) for r in order
+            ),
         )
 
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    f_c, f_d = objective(c), objective(d)
-    guard = 0
-    while (b - a) > tol * b and guard < 500:
-        if f_c <= f_d:
-            b, d, f_d = d, c, f_c
-            c = b - _INV_GOLDEN * (b - a)
-            f_c = objective(c)
+    for _ in range(500):
+        if s_b == 0.0:
+            break
+        c = b - s_b * (b - a) / (s_b - s_a)
+        if not min(a, b) < c < max(a, b):
+            break
+        s_c = slope(c)
+        if abs(b - a) <= tol:
+            break
+        if (s_c < 0.0) != (s_b < 0.0):
+            a, s_a = b, s_b
         else:
-            a, c, f_c = c, d, f_d
-            d = a + _INV_GOLDEN * (b - a)
-            f_d = objective(d)
-        guard += 1
+            s_a *= 0.5  # Illinois: a is kept a second time
+        b, s_b = c, s_c
 
-    best_height = min(values, key=lambda h: (values[h], h))
-    best = results[best_height]
-    ratio = isoperimetric_ratio(poly, Apex(projection=best.center, height=best_height))
+    best = order[-1]
+    ratio = isoperimetric_ratio(poly, Apex(projection=best.center, height=best.height))
     height_over_inradius = (
-        best_height / triangle_incenter(poly).radius if len(poly.vertices) == 3 else None
+        best.height / triangle_incenter(poly).radius if len(poly.vertices) == 3 else None
     )
     return OptimalCone(
         center=best.center,
-        height=best_height,
+        height=best.height,
         ratio=ratio,
         height_over_inradius=height_over_inradius,
         inner_results=tuple(order),

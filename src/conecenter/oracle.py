@@ -1,8 +1,8 @@
 """Brute-force grid oracle, independent of the solvers.
 
 The oracle only calls the cone evaluators and refines a rectangular grid
-around the incumbent best point, so it cross-checks the Newton and
-golden-section results without sharing any of their machinery.
+around the incumbent best point, so it cross-checks the solver's
+results without sharing any of its machinery.
 """
 
 from __future__ import annotations

@@ -249,3 +249,23 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["centroid"] == pytest.approx([0.5, 0.5])
+
+
+def test_solving_commands_do_not_load_scipy():
+    # scipy serves only the Chebyshev LP; loading it dominates a CLI process
+    script = f"""
+import sys
+from conecenter.cli import main
+for argv in (["optimal"], ["center", "--height", "1"], ["sweep", "--heights", "1,2"], ["verify"]):
+    assert main(argv + [{TRAPEZOID!r}]) == 0, argv
+assert "scipy" not in sys.modules, "scipy loaded"
+assert main(["chebyshev", {TRAPEZOID!r}]) == 0
+"""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+import conecenter.optimize as optimize_module
 from conecenter import (
     OPTIMAL_HEIGHT_RATIO,
     Apex,
+    BracketingFailed,
     CenterResult,
     InputError,
     NonpositiveHeight,
@@ -210,6 +212,8 @@ def test_optimal_triangle_height_is_2root2_times_inradius():
         inc = triangle_incenter(poly)
         assert np.linalg.norm(best.center - inc.center) <= 1e-6 * poly.diameter
         assert best.ratio == pytest.approx(18.0 * poly.perimeter**2 / poly.area, rel=1e-9)
+        assert abs(best.height_over_inradius - 2.0 * math.sqrt(2.0)) <= 1e-12
+        assert len(best.inner_results) <= 15
 
 
 def test_optimal_square_cone():
@@ -218,6 +222,28 @@ def test_optimal_square_cone():
     assert best.height == pytest.approx(math.sqrt(2.0), abs=1e-6)
     assert best.ratio == pytest.approx(288.0, rel=1e-9)
     assert best.height_over_inradius is None
+    assert abs(best.height - math.sqrt(2.0)) <= 1e-12 * math.sqrt(2.0)
+    assert len(best.inner_results) <= 15
+
+
+def test_optimal_height_is_a_root_of_the_height_derivative():
+    # h * d(log F)/dh at the optimal height, from a fresh solve there
+    star = build_polygon(helpers.random_star_polygon(np.random.default_rng(73)))
+    for poly in (TRAPEZOID, star):
+        h = optimal_cone(poly).height
+        res = center_at_height(poly, h)
+        slant = np.hypot(res.distances, h)
+        slope = 1.5 * h * h * float(poly.lengths @ (1.0 / slant)) / res.boundary_area - 2.0
+        assert abs(slope) <= 1e-12
+
+
+def test_bracketing_failure_carries_the_sampled_trace(monkeypatch):
+    monkeypatch.setattr(optimize_module, "_MAX_EXPANSIONS", 0)
+    with pytest.raises(BracketingFailed) as info:
+        optimal_cone(SQUARE)
+    ((h, value),) = info.value.trace
+    assert h == pytest.approx(0.5, rel=1e-15)
+    assert value == pytest.approx(isoperimetric_ratio(SQUARE, Apex((0.5, 0.5), h)), rel=1e-12)
 
 
 def test_optimal_trapezoid_cone():
