@@ -104,67 +104,35 @@ def _shoelace(vertices: np.ndarray) -> float:
     return 0.5 * float(x @ np.roll(y, -1) - y @ np.roll(x, -1))
 
 
-def _direction(a, b, c) -> float:
-    """Cross product (b - a) x (c - a)."""
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
-def _on_segment(a, b, c) -> bool:
-    """Whether c, already known collinear with a-b, lies within the segment box."""
-    return (
-        min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
-        and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
-    )
-
-
-def _segments_touch(p1, p2, p3, p4) -> bool:
-    """Whether the closed segments p1-p2 and p3-p4 share at least one point."""
-    d1 = _direction(p3, p4, p1)
-    d2 = _direction(p3, p4, p2)
-    d3 = _direction(p1, p2, p3)
-    d4 = _direction(p1, p2, p4)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
-        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
-    ):
-        return True
-    if d1 == 0 and _on_segment(p3, p4, p1):
-        return True
-    if d2 == 0 and _on_segment(p3, p4, p2):
-        return True
-    if d3 == 0 and _on_segment(p1, p2, p3):
-        return True
-    if d4 == 0 and _on_segment(p1, p2, p4):
-        return True
-    return False
-
-
-def _check_simple(vertices: np.ndarray) -> None:
+def _check_simple(verts: np.ndarray, edges: np.ndarray, diff: np.ndarray) -> None:
     """Raise SelfIntersecting unless the closed boundary is simple.
 
-    Non-adjacent edges must be disjoint; adjacent edges may only meet at
-    their shared vertex (a fold-back onto the neighbouring edge is rejected,
-    a straight pass-through vertex is allowed).
+    ``edges[j]`` is ``verts[j + 1] - verts[j]`` and ``diff[i, j]`` is
+    ``verts[i] - verts[j]``.  Two edges touch when each crosses the other's
+    line strictly, or when an endpoint of one lies on the other (an edge's
+    own endpoints aside).  Adjacent edges can then touch only by folding
+    back at their shared vertex; a straight pass-through vertex is allowed.
+    The first touching pair ``i < j`` in row-major order is named.
     """
-    m = len(vertices)
-    for i in range(m):
-        for j in range(i + 1, m):
-            adjacent = j == i + 1 or (i == 0 and j == m - 1)
-            if adjacent:
-                if j == i + 1:
-                    far_a, shared, far_b = vertices[i], vertices[j], vertices[(j + 1) % m]
-                else:
-                    far_a, shared, far_b = vertices[1], vertices[0], vertices[m - 1]
-                folded = _direction(far_a, shared, far_b) == 0 and (far_a - shared) @ (
-                    far_b - shared
-                ) > 0
-                if folded:
-                    raise SelfIntersecting(
-                        f"edge {i} folds back onto edge {j} at a shared vertex"
-                    )
-            elif _segments_touch(
-                vertices[i], vertices[(i + 1) % m], vertices[j], vertices[(j + 1) % m]
-            ):
-                raise SelfIntersecting(f"edges {i} and {j} intersect")
+    m = len(verts)
+    k = np.arange(m)
+    nxt = (k + 1) % m
+    # side[i, j] = edges[j] x (verts[i] - verts[j]): the side of edge j's line vertex i is on
+    side = edges[:, 0] * diff[:, :, 1]
+    side -= edges[:, 1] * diff[:, :, 0]
+    sign = (side > 0).astype(np.int8) - (side < 0)
+    straddles = sign * sign[nxt] < 0  # edge i's ends lie on both sides of line j
+    point = verts[:, None, :]
+    lo, hi = np.minimum(verts, verts[nxt]), np.maximum(verts, verts[nxt])
+    on_edge = (side == 0) & ((lo <= point) & (point <= hi)).all(axis=2)  # vertex i on edge j ...
+    on_edge[k, k] = on_edge[nxt, k] = False  # ... other than at its own ends
+    end_on = on_edge | on_edge[nxt]  # an endpoint of edge i lies on edge j
+    touch = np.triu((straddles & straddles.T) | end_on | end_on.T, 1)
+    if touch.any():
+        i, j = np.argwhere(touch)[0]
+        if j - i in (1, m - 1):
+            raise SelfIntersecting(f"edge {i} folds back onto edge {j} at a shared vertex")
+        raise SelfIntersecting(f"edges {i} and {j} intersect")
 
 
 def build_polygon(points) -> Polygon:
@@ -178,23 +146,31 @@ def build_polygon(points) -> Polygon:
     Raises
     ------
     DegenerateInput
-        Fewer than three points, non-finite coordinates, duplicate
-        consecutive vertices, or area at most ``1e-12 * diameter**2``.
+        Fewer than three points, non-finite coordinates, coordinates too
+        large for the diameter to be finite, duplicate consecutive
+        vertices, or area at most ``1e-12 * diameter**2``.
     SelfIntersecting
         The closed boundary is not simple.
     """
-    verts = np.asarray(points, dtype=float)
+    try:
+        verts = np.asarray(points, dtype=float)
+    except OverflowError as exc:
+        raise DegenerateInput(f"vertex coordinates are too large for a float: {exc}") from exc
     if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
         raise DegenerateInput("a polygon needs at least three 2-D points")
     if not np.all(np.isfinite(verts)):
         raise DegenerateInput("vertex coordinates must be finite")
-    diff = verts[:, None, :] - verts[None, :, :]
-    diameter = float(np.sqrt((diff**2).sum(axis=2)).max())
+    with np.errstate(over="ignore"):
+        diff = verts[:, None, :] - verts[None, :, :]
+        diameter = float(np.sqrt((diff**2).sum(axis=2)).max())
+    if not np.isfinite(diameter):
+        raise DegenerateInput("vertex coordinates are too large: the diameter overflows")
     if diameter == 0.0:
         raise DegenerateInput("all vertices coincide")
     signed = _shoelace(verts)
     if signed < 0:
         verts = verts[::-1].copy()
+        diff = diff[::-1, ::-1]
         signed = -signed
     edge_vec = np.roll(verts, -1, axis=0) - verts
     lengths = np.linalg.norm(edge_vec, axis=1)
@@ -202,7 +178,7 @@ def build_polygon(points) -> Polygon:
         raise DegenerateInput("duplicate consecutive vertices")
     if signed <= AREA_EPS * diameter**2:
         raise DegenerateInput("polygon area is numerically zero")
-    _check_simple(verts)
+    _check_simple(verts, edge_vec, diff)
 
     tangents = edge_vec / lengths[:, None]
     # left of the travel direction, which is the interior side for CCW order

@@ -209,6 +209,16 @@ def test_invalid_polygon_exits_2(tmp_path, capsys):
     assert err != ""
 
 
+def test_integer_coordinate_too_large_for_a_float_exits_2(tmp_path, capsys):
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"vertices": [[10**400, 0], [1, 0], [0, 1]]}))
+    code, out, err = run(capsys, "centroid", str(huge))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: vertex coordinates are too large for a float")
+    assert err.count("\n") == 1
+
+
 def test_incenter_on_square_exits_2(capsys):
     code, _, err = run(capsys, "incenter", SQUARE)
     assert code == 2

@@ -173,19 +173,83 @@ def test_rejects_collinear_and_sliver_polygons():
         build_polygon([(0.0, 0.0), (1.0, 0.0), (0.5, 1e-14)])
 
 
-def test_rejects_bowtie():
-    with pytest.raises(SelfIntersecting):
-        build_polygon([(0.0, 0.0), (4.0, 0.0), (1.0, 3.0), (3.0, 3.0)])
+def test_rejects_coordinates_whose_differences_overflow():
+    with pytest.raises(DegenerateInput, match="too large"):
+        build_polygon([(-1e308, 0.0), (1e308, 0.0), (0.0, 1e308)])
 
 
-def test_rejects_folded_edge():
-    with pytest.raises(SelfIntersecting):
-        build_polygon([(0.0, 0.0), (2.0, 0.0), (1.0, 0.0), (1.0, 1.0)])
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        pytest.param([(0, 0), (4, 0), (1, 3), (3, 3)], "edges 1 and 3 intersect", id="bowtie"),
+        pytest.param(
+            [(0, 0), (2, 0), (1, 0), (1, 1)],
+            "edge 0 folds back onto edge 1 at a shared vertex",
+            id="folded-edge",
+        ),
+        pytest.param(
+            [(0, 0), (1, 0), (1, -2), (2, 0)],
+            "edge 0 folds back onto edge 3 at a shared vertex",
+            id="fold-at-vertex-0",
+        ),
+        pytest.param(
+            [(0, 0), (4, 0), (4, 4), (2, 0), (0, 4)],
+            "edges 0 and 2 intersect",
+            id="vertex-on-nonadjacent-edge",
+        ),
+        pytest.param(
+            [(0, 0), (3, 0), (3, -1), (5, -1), (5, 0), (1, 0), (1, 2), (0, 2)],
+            "edges 0 and 4 intersect",
+            id="collinear-overlap",
+        ),
+        pytest.param(
+            [(0, 0), (2, 0), (1, 1), (2, 2), (0, 2), (1, 1)],
+            "edges 1 and 4 intersect",
+            id="pinched",
+        ),
+        pytest.param([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)], None, id="pass-through"),
+        pytest.param([(1, 0), (2, 0), (2, 2), (0, 2), (0, 0)], None, id="pass-through-at-vertex-0"),
+    ],
+)
+def test_simplicity_check_names_the_first_touching_pair(points, message):
+    if message is None:
+        assert len(build_polygon(points).vertices) == len(points)
+    else:
+        with pytest.raises(SelfIntersecting, match=f"^{message}$"):
+            build_polygon(points)
 
 
-def test_rejects_vertex_on_nonadjacent_edge():
-    with pytest.raises(SelfIntersecting):
-        build_polygon([(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (2.0, 0.0), (0.0, 4.0)])
+def _outcome(points) -> str:
+    try:
+        build_polygon(points)
+    except (SelfIntersecting, DegenerateInput) as exc:
+        return type(exc).__name__
+    return "ok"
+
+
+@given(
+    st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=3, max_size=10),
+    st.integers(0, 9),
+)
+@settings(max_examples=200)
+def test_outcome_invariant_under_relabeling_reversal_and_integer_shift(points, roll):
+    # small integers keep every product in the check exact, also after the shift
+    points = np.array(points, dtype=float)
+    expected = _outcome(points)
+    assert _outcome(np.roll(points, roll, axis=0)) == expected
+    assert _outcome(points[::-1]) == expected
+    assert _outcome(points + 1e6) == expected
+
+
+def test_large_regular_polygon_and_one_vertex_moved_across_it():
+    m = 1024
+    t = 2.0 * np.pi * np.arange(m) / m
+    points = np.column_stack([np.cos(t), np.sin(t)])
+    assert build_polygon(points).area == pytest.approx(m / 2 * np.sin(2 * np.pi / m), rel=1e-12)
+    points[0] = (-2.0, 0.0)
+    # edge 0 now runs from (-2, 0) back to vertex 1, entering through edge 511
+    with pytest.raises(SelfIntersecting, match="^edges 0 and 511 intersect$"):
+        build_polygon(points)
 
 
 def test_vertices_are_read_only():
