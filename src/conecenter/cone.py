@@ -15,19 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NonpositiveArgument, _positive_height
+from .errors import InputError, _positive_height
 from .geometry import Polygon, signed_distances
 
 __all__ = [
     "Apex",
-    "ConeMetrics",
     "OPTIMAL_HEIGHT_RATIO",
-    "lateral_area",
     "boundary_area",
     "boundary_areas",
     "cone_volume",
     "isoperimetric_ratio",
-    "cone_metrics",
     "phi",
     "equal_angle_residual",
 ]
@@ -52,26 +49,10 @@ class Apex:
         object.__setattr__(self, "height", _positive_height(self.height, "apex height"))
 
 
-@dataclass(frozen=True, eq=False)
-class ConeMetrics:
-    """All scalar quantities of one cone: areas, volume, and the ratio."""
-
-    base_area: float
-    lateral_area: float
-    boundary_area: float
-    volume: float
-    ratio: float
-
-
-def lateral_area(poly: Polygon, apex: Apex) -> float:
-    """Total area of the lateral faces, ``sum(a_i * sqrt(d_i**2 + h**2)) / 2``."""
-    d = signed_distances(poly, apex.projection)
-    return 0.5 * float(poly.lengths @ np.hypot(d, apex.height))
-
-
 def boundary_area(poly: Polygon, apex: Apex) -> float:
-    """Base area plus lateral area."""
-    return poly.area + lateral_area(poly, apex)
+    """Base area plus the lateral faces, ``sum(a_i * sqrt(d_i**2 + h**2)) / 2``."""
+    d = signed_distances(poly, apex.projection)
+    return poly.area + 0.5 * float(poly.lengths @ np.hypot(d, apex.height))
 
 
 def boundary_areas(poly: Polygon, points, height) -> np.ndarray:
@@ -101,32 +82,20 @@ def isoperimetric_ratio(poly: Polygon, apex: Apex) -> float:
     return boundary_area(poly, apex) ** 3 / cone_volume(poly, apex.height) ** 2
 
 
-def cone_metrics(poly: Polygon, apex: Apex) -> ConeMetrics:
-    """Evaluate every cone quantity at once."""
-    lateral = lateral_area(poly, apex)
-    boundary = poly.area + lateral
-    volume = cone_volume(poly, apex.height)
-    return ConeMetrics(
-        base_area=poly.area,
-        lateral_area=lateral,
-        boundary_area=boundary,
-        volume=volume,
-        ratio=boundary**3 / volume**2,
-    )
-
-
 def phi(t) -> float:
     """One-variable ratio profile ``(1 + sqrt(1 + t**2))**3 / t**2``.
 
     For a base with an inscribed circle of radius ``r`` touching every
     edge, the cone with apex over the circle center at height ``h`` has
     ratio ``(9 * base_area / r**2) * phi(h / r)``; the profile attains its
-    minimum value 8 at ``t = 2 * sqrt(2)``.
+    minimum value 8 at ``t = 2 * sqrt(2)``.  Below ``t`` of about 2.1e-154,
+    where ``8 / t**2`` exceeds the float range, it returns ``inf``.
     """
-    t = float(t)
-    if not t > 0.0:
-        raise NonpositiveArgument(f"phi needs a positive argument, got {t}")
-    return (1.0 + math.sqrt(1.0 + t * t)) ** 3 / (t * t)
+    t = _positive_height(t, "phi argument")
+    # (1 + s) / t first, so neither t * t nor the cube leaves the float range
+    s = math.hypot(1.0, t)
+    q = (1.0 + s) / t
+    return (1.0 + s) * q * q
 
 
 def equal_angle_residual(poly: Polygon, point, height) -> float:

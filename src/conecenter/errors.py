@@ -7,6 +7,17 @@ failures in an otherwise valid problem (exit status 1).
 
 import math
 
+__all__ = [
+    "InputError",
+    "DegenerateInput",
+    "SelfIntersecting",
+    "NotATriangle",
+    "NotConvex",
+    "NonpositiveHeight",
+    "SolverError",
+    "BracketingFailed",
+]
+
 
 class InputError(ValueError):
     """Invalid input data or parameters."""
@@ -30,10 +41,6 @@ class NotConvex(InputError):
 
 class NonpositiveHeight(InputError):
     """Cone height must be finite and strictly positive."""
-
-
-class NonpositiveArgument(InputError):
-    """Argument must be strictly positive."""
 
 
 class SolverError(RuntimeError):

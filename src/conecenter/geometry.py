@@ -147,8 +147,9 @@ def build_polygon(points) -> Polygon:
     ------
     DegenerateInput
         Fewer than three points, non-finite coordinates, coordinates too
-        large for the diameter to be finite, duplicate consecutive
-        vertices, or area at most ``1e-12 * diameter**2``.
+        large for the diameter or the shoelace area to be finite,
+        duplicate consecutive vertices, or area at most
+        ``1e-12 * diameter**2``.
     SelfIntersecting
         The closed boundary is not simple.
     """
@@ -160,14 +161,16 @@ def build_polygon(points) -> Polygon:
         raise DegenerateInput("a polygon needs at least three 2-D points")
     if not np.all(np.isfinite(verts)):
         raise DegenerateInput("vertex coordinates must be finite")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         diff = verts[:, None, :] - verts[None, :, :]
         diameter = float(np.sqrt((diff**2).sum(axis=2)).max())
+        signed = _shoelace(verts)
     if not np.isfinite(diameter):
         raise DegenerateInput("vertex coordinates are too large: the diameter overflows")
     if diameter == 0.0:
         raise DegenerateInput("all vertices coincide")
-    signed = _shoelace(verts)
+    if not np.isfinite(signed):
+        raise DegenerateInput("vertex coordinates are too large: the area overflows")
     if signed < 0:
         verts = verts[::-1].copy()
         diff = diff[::-1, ::-1]

@@ -63,16 +63,11 @@ class GridSpec:
         return extent / ((self.resolution - 1) * self.refine_zoom**self.refine_rounds)
 
 
-def default_grid_spec(poly: Polygon, resolution=201, refine_rounds=6, refine_zoom=5.0) -> GridSpec:
+def default_grid_spec(poly: Polygon) -> GridSpec:
     """Grid over the polygon's bounding box padded by one diameter."""
     lower, upper = poly.bounding_box
     pad = poly.diameter
-    return GridSpec(
-        box=(tuple(lower - pad), tuple(upper + pad)),
-        resolution=resolution,
-        refine_rounds=refine_rounds,
-        refine_zoom=refine_zoom,
-    )
+    return GridSpec(box=(tuple(lower - pad), tuple(upper + pad)))
 
 
 def grid_min_boundary(poly: Polygon, height, spec: GridSpec | None = None):

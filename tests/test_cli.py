@@ -219,6 +219,17 @@ def test_integer_coordinate_too_large_for_a_float_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_coordinates_whose_area_overflows_exit_2(tmp_path, capsys):
+    far = tmp_path / "far.json"
+    vertices = [[1e169, 1e169], [1e169 + 1e153, 1e169], [1e169, 1e169 + 1e153]]
+    far.write_text(json.dumps({"vertices": vertices}))
+    code, out, err = run(capsys, "optimal", str(far))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: vertex coordinates are too large: the area overflows")
+    assert err.count("\n") == 1
+
+
 def test_incenter_on_square_exits_2(capsys):
     code, _, err = run(capsys, "incenter", SQUARE)
     assert code == 2

@@ -10,16 +10,13 @@ from conecenter import (
     OPTIMAL_HEIGHT_RATIO,
     Apex,
     InputError,
-    NonpositiveArgument,
     NonpositiveHeight,
     boundary_area,
     boundary_areas,
     build_polygon,
-    cone_metrics,
     cone_volume,
     equal_angle_residual,
     isoperimetric_ratio,
-    lateral_area,
     phi,
     signed_distances,
     triangle_incenter,
@@ -48,8 +45,9 @@ def test_apex_validation():
 def test_right_triangle_boundary_at_optimal_apex():
     inc = triangle_incenter(RIGHT_TRIANGLE)
     apex = Apex(inc.center, 2.0 * math.sqrt(2.0) * inc.radius)
-    assert lateral_area(RIGHT_TRIANGLE, apex) == pytest.approx(1.5, rel=1e-12)
-    assert boundary_area(RIGHT_TRIANGLE, apex) == pytest.approx(2.0, rel=1e-12)
+    boundary = boundary_area(RIGHT_TRIANGLE, apex)
+    assert boundary - RIGHT_TRIANGLE.area == pytest.approx(1.5, rel=1e-12)
+    assert boundary == pytest.approx(2.0, rel=1e-12)
     assert isoperimetric_ratio(RIGHT_TRIANGLE, apex) == pytest.approx(
         216.0 + 144.0 * math.sqrt(2.0), rel=1e-12
     )
@@ -57,8 +55,9 @@ def test_right_triangle_boundary_at_optimal_apex():
 
 def test_square_boundary_at_low_apex():
     apex = Apex((0.5, 0.5), 0.5)
-    assert lateral_area(SQUARE, apex) == pytest.approx(math.sqrt(2.0), rel=1e-13)
-    assert boundary_area(SQUARE, apex) == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-13)
+    boundary = boundary_area(SQUARE, apex)
+    assert boundary - SQUARE.area == pytest.approx(math.sqrt(2.0), rel=1e-13)
+    assert boundary == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-13)
 
 
 def test_equilateral_boundary_and_ratio_at_optimal_apex():
@@ -73,7 +72,7 @@ def test_equilateral_boundary_and_ratio_at_optimal_apex():
 def test_lateral_area_tends_to_base_area_for_flat_cones():
     inc = triangle_incenter(RIGHT_TRIANGLE)
     apex = Apex(inc.center, 1e-9)
-    assert lateral_area(RIGHT_TRIANGLE, apex) == pytest.approx(RIGHT_TRIANGLE.area, rel=1e-6)
+    assert boundary_area(RIGHT_TRIANGLE, apex) == pytest.approx(2.0 * RIGHT_TRIANGLE.area, rel=1e-6)
 
 
 def test_cone_volume():
@@ -113,14 +112,14 @@ def test_lateral_area_lower_bounds():
         poly = build_polygon(helpers.random_convex_polygon(rng))
         p = rng.uniform(-6.0, 6.0, size=2)
         h = float(rng.uniform(0.1, 5.0))
-        lat = lateral_area(poly, Apex(p, h))
-        assert lat > poly.area
-        assert lat >= 0.5 * poly.perimeter * h
+        boundary = boundary_area(poly, Apex(p, h))
+        assert boundary > 2.0 * poly.area
+        assert boundary >= poly.area + 0.5 * poly.perimeter * h
 
 
 def test_lateral_area_increases_with_height():
     heights = np.linspace(0.1, 5.0, 20)
-    values = [lateral_area(TRAPEZOID, Apex((1.0, 0.0), h)) for h in heights]
+    values = [boundary_area(TRAPEZOID, Apex((1.0, 0.0), h)) for h in heights]
     assert np.all(np.diff(values) > 0.0)
 
 
@@ -128,28 +127,29 @@ def test_cone_measures_invariant_under_rigid_motion():
     rng = np.random.default_rng(31)
     base = np.array([(0.0, -1.0), (2.0, -2.0), (2.0, 2.0), (0.0, 1.0)])
     apex_xy = np.array([1.3, 0.2])
-    ref = cone_metrics(TRAPEZOID, Apex(apex_xy, 2.0))
+    ref_boundary = boundary_area(TRAPEZOID, Apex(apex_xy, 2.0))
+    ref_ratio = isoperimetric_ratio(TRAPEZOID, Apex(apex_xy, 2.0))
     for _ in range(100):
         angle = rng.uniform(0.0, 2.0 * np.pi)
         shift = rng.uniform(-20.0, 20.0, size=2)
         poly = build_polygon(helpers.rotate_translate(base, angle, shift))
         moved_apex = helpers.rotate_translate(apex_xy[None, :], angle, shift)[0]
-        got = cone_metrics(poly, Apex(moved_apex, 2.0))
-        assert got.lateral_area == pytest.approx(ref.lateral_area, rel=1e-10)
-        assert got.boundary_area == pytest.approx(ref.boundary_area, rel=1e-10)
-        assert got.ratio == pytest.approx(ref.ratio, rel=1e-10)
+        moved = Apex(moved_apex, 2.0)
+        lateral = boundary_area(poly, moved) - poly.area
+        assert lateral == pytest.approx(ref_boundary - TRAPEZOID.area, rel=1e-10)
+        assert boundary_area(poly, moved) == pytest.approx(ref_boundary, rel=1e-10)
+        assert isoperimetric_ratio(poly, moved) == pytest.approx(ref_ratio, rel=1e-10)
 
 
-def test_cone_metrics_internal_consistency():
+def test_ratio_is_boundary_cubed_over_volume_squared():
     rng = np.random.default_rng(37)
     for _ in range(25):
         poly = build_polygon(helpers.random_convex_polygon(rng))
         apex = Apex(rng.uniform(-4.0, 4.0, size=2), float(rng.uniform(0.2, 4.0)))
-        m = cone_metrics(poly, apex)
-        assert m.base_area == pytest.approx(poly.area, rel=1e-15)
-        assert m.boundary_area == m.base_area + m.lateral_area
-        assert m.volume == pytest.approx(poly.area * apex.height / 3.0, rel=1e-14)
-        assert m.ratio == pytest.approx(m.boundary_area**3 / m.volume**2, rel=1e-12)
+        volume = cone_volume(poly, apex.height)
+        assert volume == pytest.approx(poly.area * apex.height / 3.0, rel=1e-14)
+        expected = boundary_area(poly, apex) ** 3 / volume**2
+        assert isoperimetric_ratio(poly, apex) == pytest.approx(expected, rel=1e-12)
 
 
 @given(st.floats(0.1, 10.0), st.floats(0.2, 4.0))
@@ -182,10 +182,30 @@ def test_phi_lower_bound(t):
 
 
 def test_phi_rejects_nonpositive():
-    with pytest.raises(NonpositiveArgument):
+    with pytest.raises(NonpositiveHeight):
         phi(0.0)
-    with pytest.raises(NonpositiveArgument):
+    with pytest.raises(NonpositiveHeight):
         phi(-1.0)
+    with pytest.raises(NonpositiveHeight):
+        phi(math.inf)
+    with pytest.raises(NonpositiveHeight):
+        phi(math.nan)
+
+
+@pytest.mark.parametrize("t", [1e-20, 1e-60, 1e-100, 1e-150])
+def test_phi_small_argument_tail_is_eight_over_t_squared(t):
+    # phi(t) = 8 / t**2 * (1 + O(t**2)); the product is formed as phi * t * t to stay in range
+    assert phi(t) * t * t / 8.0 == pytest.approx(1.0, rel=1e-14)
+
+
+def test_phi_overflows_to_inf_below_the_float_range():
+    assert phi(1e-200) == math.inf
+
+
+@pytest.mark.parametrize("t", [1e20, 1e103, 1e160, 1e200, 1e300])
+def test_phi_large_argument_tail_is_t(t):
+    # phi(t) = t + 3 + O(1 / t)
+    assert phi(t) / t == pytest.approx(1.0, rel=1e-14)
 
 
 def test_tangential_ratio_factorizes_through_phi():
@@ -224,5 +244,5 @@ def test_distance_profile_feeds_cone_measures():
     p = (1.0, 0.0)
     d = signed_distances(TRAPEZOID, p)
     slant = np.hypot(d, 2.0)
-    expected = float(0.5 * TRAPEZOID.lengths @ slant)
-    assert lateral_area(TRAPEZOID, Apex(p, 2.0)) == pytest.approx(expected, rel=1e-14)
+    expected = TRAPEZOID.area + float(0.5 * TRAPEZOID.lengths @ slant)
+    assert boundary_area(TRAPEZOID, Apex(p, 2.0)) == pytest.approx(expected, rel=1e-14)

@@ -178,6 +178,12 @@ def test_rejects_coordinates_whose_differences_overflow():
         build_polygon([(-1e308, 0.0), (1e308, 0.0), (0.0, 1e308)])
 
 
+def test_rejects_coordinates_whose_shoelace_area_overflows():
+    # the diameter (1.4e153) is finite, but the shoelace products x_i * y_j are about 1e338
+    with pytest.raises(DegenerateInput, match="the area overflows"):
+        build_polygon([(1e169, 1e169), (1e169 + 1e153, 1e169), (1e169, 1e169 + 1e153)])
+
+
 @pytest.mark.parametrize(
     "points, message",
     [
