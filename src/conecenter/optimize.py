@@ -1,15 +1,16 @@
 """Solvers for the two cone-center problems.
 
 ``center_at_height`` minimizes the cone boundary area over the apex
-projection at a fixed height.  The objective
-
-    g(x) = sum_i a_i * sqrt((n_i @ x + c_i)**2 + h**2) / 2
-
-is smooth and convex for h > 0, with analytic gradient
-``sum_i a_i * d_i / sqrt(d_i**2 + h**2) * n_i / 2`` and positive
-semidefinite Hessian ``sum_i a_i * h**2 / (d_i**2 + h**2)**1.5 *
-n_i n_i^T / 2``, so a damped Newton iteration with Armijo backtracking
-converges quickly from the centroid.
+projection at a fixed height.  With ``d_i = n_i @ x + c_i`` and
+``s_i = sqrt(d_i**2 + h**2)`` the objective ``g(x) = sum_i a_i s_i / 2`` is
+smooth and convex for h > 0, with gradient ``sum_i a_i (d_i / s_i) n_i / 2``
+and Hessian ``sum_i a_i (h**2 / s_i**3) n_i n_i^T / 2``.  Since
+``sum_i a_i n_i = 0`` and ``sum_i a_i d_i = 2 * area`` at every x, the
+shifted form, value ``sum_i a_i r_i / 2`` and gradient
+``-sum_i a_i (r_i / s_i) n_i / 2`` with
+``r_i = s_i - d_i = h * (h / (s_i + |d_i|)) + (|d_i| - d_i)``, has the same
+minimizer and no cancellation where ``h << |d_i|``.  One damped Newton loop
+minimizes it and stops on the length of the Newton step.
 
 ``optimal_cone`` minimizes ``F = boundary**3 / volume**2`` over the height
 as the root of ``h * d(log F)/dh``, which the envelope theorem reads off
@@ -42,7 +43,6 @@ ARMIJO_SLOPE = 1e-4
 BACKTRACK_FACTOR = 0.5
 MAX_CONDITION = 1e12
 _MAX_EXPANSIONS = 8
-_POLISH_STEPS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,16 +94,16 @@ def boundary_gradient(poly: Polygon, point, height) -> np.ndarray:
 def _search_direction(normals, lengths, h, slant, grad):
     """Newton direction when the 2x2 Hessian is safely invertible, else the
     negative gradient.  Returns ``(direction, used_newton)``."""
-    w = 0.5 * lengths * (h * h) / slant**3
+    w = 0.5 * lengths * (h / slant) ** 2 / slant
     hxx = float(w @ (normals[:, 0] * normals[:, 0]))
     hyy = float(w @ (normals[:, 1] * normals[:, 1]))
     hxy = float(w @ (normals[:, 0] * normals[:, 1]))
     mean = 0.5 * (hxx + hyy)
     disc = math.hypot(0.5 * (hxx - hyy), hxy)
     lam_min, lam_max = mean - disc, mean + disc
-    if not (math.isfinite(lam_max) and lam_max > 0.0) or lam_min <= lam_max / MAX_CONDITION:
+    det = hxx * hyy - hxy * hxy  # underflows to 0 for h/diameter beyond ~1e-77 or ~1e154
+    if not 0.0 < det < math.inf or lam_min <= lam_max / MAX_CONDITION:
         return -grad, False
-    det = hxx * hyy - hxy * hxy
     direction = np.array(
         [
             -(hyy * grad[0] - hxy * grad[1]) / det,
@@ -121,91 +121,85 @@ def center_at_height(poly: Polygon, height, tol=1e-10, x0=None, max_iter=200) ->
     poly : Polygon
     height : finite positive float
     tol : positive float
-        Convergence when the gradient norm drops to ``tol * perimeter / 2``.
+        Converged when the Newton step is at most ``tol * diameter`` long;
+        that step is taken.  Unlike the gradient, which shrinks like h**2,
+        the step needs no scale factor in x or h.
     x0 : array_like, optional
-        Starting point; defaults to the centroid.
+        Finite starting point; defaults to the centroid.
     max_iter : int
-        Iteration cap; on hitting it the best iterate is returned with
-        ``converged=False`` rather than raising.
+        Cap on damped steps; on hitting it the last iterate is returned
+        with ``converged=False`` rather than raising.
 
     Notes
     -----
-    After the gradient test fires, a few extra full Newton steps are taken
-    while they keep shrinking the gradient: on thin polygons the low-
-    curvature axis otherwise retains a displacement far above the rounding
-    floor even though the gradient is already below tolerance.  The same
-    polish runs when the line search can no longer resolve a decrease of
-    the value before the gradient test fires; ``converged`` is then judged
-    by the gradient test after the polish.
+    The value and gradient take the direct or the shifted form (see the
+    module docstring), whichever has the smaller ``sum_i a_i |w_i|`` over
+    its gradient weights, ``d_i / s_i`` or ``(s_i - d_i) / s_i``, at the
+    start point: rounding error scales with that sum.  A step is accepted
+    on the Armijo condition or when the slope at the new point along the
+    step is not positive, which by convexity means the value has not risen
+    even where its differences fall below rounding.  The loop ends
+    unconverged when backtracking gets below ``t = 1e-14`` or an accepted
+    step leaves the iterate unchanged.
     """
     h = _positive_height(height)
     if not tol > 0.0:
         raise InputError(f"tol must be > 0, got {tol}")
+    x = centroid(poly) if x0 is None else np.asarray(x0, dtype=float).copy()
+    if x.shape != (2,) or not np.all(np.isfinite(x)):
+        raise InputError("starting point must be a finite 2-D point")
     normals, lengths = poly.normals, poly.lengths
-    gradient_tol = tol * 0.5 * poly.perimeter
+    step_tol = tol * poly.diameter
+
+    # the shifted gradient terms sum_i a_i |s_i - d_i| / s_i are the smaller
+    # sum exactly when sum_i a_i max(d_i, 0) / s_i exceeds perimeter / 2
+    d = signed_distances(poly, x)
+    shifted = float(lengths @ (np.maximum(d, 0.0) / np.hypot(d, h))) > 0.5 * poly.perimeter
 
     def parts(x):
         d = signed_distances(poly, x)
         slant = np.hypot(d, h)
-        value = 0.5 * float(lengths @ slant)
-        grad = normals.T @ (0.5 * lengths * d / slant)
-        return slant, value, grad
+        if shifted:
+            r = h * (h / (slant + np.abs(d))) + (np.abs(d) - d)  # slant - d
+            return slant, 0.5 * float(lengths @ r), normals.T @ (-0.5 * lengths * r / slant)
+        return slant, 0.5 * float(lengths @ slant), normals.T @ (0.5 * lengths * d / slant)
 
-    x = centroid(poly) if x0 is None else np.asarray(x0, dtype=float).copy()
     slant, value, grad = parts(x)
-    gradient_norm = float(np.linalg.norm(grad))
     iterations = 0
-    converged = gradient_norm <= gradient_tol
-    stalled = False
-
-    while not converged and iterations < max_iter:
-        step, _ = _search_direction(normals, lengths, h, slant, grad)
+    converged = False
+    while True:
+        step, used_newton = _search_direction(normals, lengths, h, slant, grad)
+        if used_newton and float(np.linalg.norm(step)) <= step_tol:
+            x = x + step
+            slant, value, grad = parts(x)
+            converged = True
+            break
+        if iterations >= max_iter:
+            break
         slope = float(grad @ step)
         if slope >= 0.0:
             step = -grad
             slope = -float(grad @ grad)
         t = 1.0
-        while True:
+        while t >= 1e-14:
             x_try = x + t * step
             slant_try, value_try, grad_try = parts(x_try)
-            if value_try <= value + ARMIJO_SLOPE * t * slope:
+            if value_try <= value + ARMIJO_SLOPE * t * slope or float(grad_try @ step) <= 0.0:
                 break
             t *= BACKTRACK_FACTOR
-            if t < 1e-14:
-                break
-        if value_try >= value:
-            # no decrease the value can resolve: the iterate sits at the
-            # rounding floor, so further line searches would only repeat
-            stalled = True
+        if t < 1e-14 or np.array_equal(x_try, x):
             break
         x, slant, value, grad = x_try, slant_try, value_try, grad_try
-        gradient_norm = float(np.linalg.norm(grad))
         iterations += 1
-        converged = gradient_norm <= gradient_tol
-
-    if converged or stalled:
-        for _ in range(_POLISH_STEPS):
-            step, used_newton = _search_direction(normals, lengths, h, slant, grad)
-            if not used_newton:
-                break
-            slant_try, value_try, grad_try = parts(x + step)
-            norm_try = float(np.linalg.norm(grad_try))
-            if norm_try < gradient_norm:
-                x = x + step
-                slant, value, grad = slant_try, value_try, grad_try
-                gradient_norm = norm_try
-            else:
-                break
-        converged = gradient_norm <= gradient_tol
 
     return CenterResult(
         center=x.copy(),
         height=h,
-        boundary_area=poly.area + value,
-        gradient_norm=gradient_norm,
+        boundary_area=poly.area + 0.5 * float(lengths @ slant),
+        gradient_norm=float(np.linalg.norm(grad)),
         distances=signed_distances(poly, x),
         iterations=iterations,
-        converged=bool(converged),
+        converged=converged,
     )
 
 

@@ -92,6 +92,12 @@ def random_tangential_polygon(rng, n_min=3, n_max=8, max_gap=2.5):
     return vertices, center, radius
 
 
+def regular_polygon(m, center, radius) -> np.ndarray:
+    """Regular m-gon about ``center`` with circumradius ``radius``."""
+    angles = 2.0 * np.pi * np.arange(m) / m + 0.3
+    return center + radius * np.column_stack([np.cos(angles), np.sin(angles)])
+
+
 def random_star_polygon(rng, n=8, r_min=1.0, r_max=5.0) -> np.ndarray:
     """Simple, generally nonconvex polygon, star-shaped about the origin."""
     while True:
@@ -109,3 +115,55 @@ def rotate_translate(points, angle, shift) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
     rotation = np.array([[c, -s], [s, c]])
     return np.asarray(points, dtype=float) @ rotation.T + np.asarray(shift, dtype=float)
+
+
+def edge_lines(vertices):
+    """Edge lengths ``a``, inward unit normals ``n`` and offsets ``c`` of a
+    polygon, so that ``n @ x + c`` are the signed edge distances of x."""
+    v = np.asarray(vertices, dtype=float)
+    if shoelace(v) < 0.0:
+        v = v[::-1]
+    edge = np.roll(v, -1, axis=0) - v
+    a = np.linalg.norm(edge, axis=1)
+    n = np.column_stack([-edge[:, 1], edge[:, 0]]) / a[:, None]
+    return a, n, -np.sum(n * v, axis=1)
+
+
+def flat_cone_center(vertices) -> np.ndarray:
+    """Limit of the fixed-height center of a convex base as h -> 0.
+
+    Inside a convex base ``sum_i a_i d_i = 2 * area`` for every x, so the
+    boundary area is ``2 * area + (h**2 / 4) * sum_i a_i / d_i + O(h**4)``
+    and the center tends to the minimizer of ``sum_i a_i / d_i``, found here
+    by a Newton iteration whose steps are halved until every d_i stays
+    positive and the value does not rise.
+    """
+    a, n, c = edge_lines(vertices)
+
+    def value(x):
+        d = n @ x + c
+        return np.inf if np.any(d <= 0.0) else float(np.sum(a / d))
+
+    x = np.mean(np.asarray(vertices, dtype=float), axis=0)
+    scale = float(np.ptp(np.asarray(vertices, dtype=float), axis=0).max())
+    for _ in range(100):
+        d = n @ x + c
+        grad = -(n.T @ (a / d**2))
+        hess = (n.T * (2.0 * a / d**3)) @ n
+        step = -np.linalg.solve(hess, grad)
+        while value(x + step) > value(x) and np.linalg.norm(step) > 1e-16 * scale:
+            step = 0.5 * step
+        x = x + step
+        if np.linalg.norm(step) <= 1e-15 * scale:
+            break
+    return x
+
+
+def tall_cone_center(vertices) -> np.ndarray:
+    """Limit of the fixed-height center as h -> inf.
+
+    ``sqrt(d**2 + h**2) = h + d**2 / (2 h) + O(h**-3)``, so the center tends
+    to the minimizer of ``sum_i a_i d_i**2``: one 2x2 linear solve.
+    """
+    a, n, c = edge_lines(vertices)
+    return np.linalg.solve((n.T * a) @ n, -(n.T @ (a * c)))

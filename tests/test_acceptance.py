@@ -222,11 +222,6 @@ def tangent_circle_center(poly):
     return center if d.max() - d.min() <= TANGENTIAL_SPREAD * poly.diameter else None
 
 
-def regular_polygon(m, center, radius):
-    angles = 2.0 * math.pi * np.arange(m) / m + 0.3
-    return center + radius * np.column_stack([np.cos(angles), np.sin(angles)])
-
-
 def test_criterion_09_equal_angle_condition(convex_population):
     # At a fixed-height center s_i = d_i / sqrt(d_i**2 + h**2) is monotone in
     # d_i, so equal angles there mean equal edge distances: they hold exactly
@@ -239,7 +234,8 @@ def test_criterion_09_equal_angle_condition(convex_population):
         known.append((f"triangle[{i}]", build_polygon(verts), incenter))
     center = np.array([2.0, -1.0])
     for m in (4, 5, 6, 12):
-        known.append((f"regular[{m}]", build_polygon(regular_polygon(m, center, 3.0)), center))
+        regular = build_polygon(helpers.regular_polygon(m, center, 3.0))
+        known.append((f"regular[{m}]", regular, center))
     rng = np.random.default_rng(1010)
     for i in range(25):
         verts, incircle_center, _ = helpers.random_tangential_polygon(rng)

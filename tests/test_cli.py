@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import helpers
 from conecenter import Apex, boundary_area, load_polygon, signed_distances
 from conecenter.cli import main
 
@@ -69,6 +70,20 @@ def test_center_command_matches_incenter_for_triangles(capsys):
     center = json.loads(out)["center"]
     incenter = json.loads(out2)["center"]
     assert np.linalg.norm(np.subtract(center, incenter)) <= 1e-7
+
+
+def test_center_command_at_a_nearly_flat_cone(capsys):
+    _, out, _ = run(capsys, "center", TRAPEZOID, "--height", "1e-8")
+    payload = json.loads(out)
+    assert payload["converged"] is True
+    assert payload["center"][0] == pytest.approx(0.928657210357, abs=1e-12)
+    for name in (TRIANGLE, str(FIXTURES / "equilateral_triangle.json")):
+        _, out, _ = run(capsys, "center", name, "--height", "1e-8")
+        payload = json.loads(out)
+        assert payload["converged"] is True
+        vertices = json.loads(Path(name).read_text())["vertices"]
+        expected = helpers.triangle_incenter_reference(vertices)
+        assert np.linalg.norm(np.subtract(payload["center"], expected)) <= 1e-11
 
 
 def test_center_roundtrip_reproduces_reported_metrics(capsys):

@@ -51,6 +51,45 @@ def test_triangle_center_is_incenter_at_every_height():
             assert np.linalg.norm(res.center - inc.center) <= 1e-7 * poly.diameter
 
 
+# h / diameter from nearly flat to nearly vertical cones
+EXTREME_RATIOS = [10.0**e for e in range(-12, 13)]
+
+
+def test_tangential_centers_hold_from_flat_to_tall_cones():
+    # on a base with an incircle both limits, and every height, give its center
+    rng = np.random.default_rng(79)
+    bases = [(v, helpers.triangle_incenter_reference(v))
+             for v in (helpers.random_triangle(rng) for _ in range(8))]
+    center = np.array([2.0, -1.0])
+    bases += [(helpers.regular_polygon(m, center, 3.0), center) for m in (4, 5, 6, 12)]
+    for vertices, expected in bases:
+        poly = build_polygon(vertices)
+        for ratio in EXTREME_RATIOS:
+            res = center_at_height(poly, ratio * poly.diameter)
+            assert res.converged, ratio
+            assert np.linalg.norm(res.center - expected) <= 1e-11 * poly.diameter, ratio
+
+
+def test_trapezoid_center_tends_to_the_flat_and_tall_limits():
+    # the two limits are 0.0069 diameters apart; each is approached like (h/D)**±2
+    vertices, tol = TRAPEZOID.vertices, 1e-11 * TRAPEZOID.diameter
+    flat, tall = helpers.flat_cone_center(vertices), helpers.tall_cone_center(vertices)
+    for ratio in EXTREME_RATIOS:
+        res = center_at_height(TRAPEZOID, ratio * TRAPEZOID.diameter)
+        assert res.converged, ratio
+        if ratio <= 1e-6:
+            assert np.linalg.norm(res.center - flat) <= tol, ratio
+        if ratio >= 1e6:
+            assert np.linalg.norm(res.center - tall) <= tol, ratio
+    res = center_at_height(TRAPEZOID, 1e-8)
+    assert abs(res.center[0] - 0.928657210356792) <= 1e-9
+    # far outside that range the Hessian determinant underflows: a solve may
+    # then fail, but it must say so rather than warn or mark a wrong point
+    for h, limit in [(1e-150, flat), (1e-300, flat), (1e150, tall), (1e300, tall)]:
+        res = center_at_height(TRAPEZOID, h)
+        assert not res.converged or np.linalg.norm(res.center - limit) <= tol, h
+
+
 def test_trapezoid_center_heights_match_published_values():
     for h, xi in TRAPEZOID_SWEEP.items():
         res = center_at_height(TRAPEZOID, h)
@@ -174,6 +213,9 @@ def test_center_rejects_bad_arguments():
         center_at_height(TRAPEZOID, 1.0, tol=0.0)
     with pytest.raises(InputError):
         optimal_cone(TRAPEZOID, tol=-1e-3)
+    for x0 in [(math.nan, 0.0), (math.inf, 0.0), (1.0, 0.0, 0.0)]:
+        with pytest.raises(InputError, match="starting point must be a finite 2-D point"):
+            center_at_height(TRAPEZOID, 1.0, x0=x0)
 
 
 def test_iteration_cap_returns_best_iterate_unconverged():
