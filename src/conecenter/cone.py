@@ -49,10 +49,20 @@ class Apex:
         object.__setattr__(self, "height", _positive_height(self.height, "apex height"))
 
 
+def _slants(d, h):
+    """Face slants ``sqrt(d**2 + h**2)`` of edge distances ``d``; ``h`` is already checked."""
+    return np.hypot(d, h)
+
+
+def _boundary(poly: Polygon, slant):
+    """Base area plus the lateral faces ``a_i * slant_i / 2``, per row of ``slant``."""
+    return poly.area + 0.5 * (slant @ poly.lengths)
+
+
 def boundary_area(poly: Polygon, apex: Apex) -> float:
     """Base area plus the lateral faces, ``sum(a_i * sqrt(d_i**2 + h**2)) / 2``."""
     d = signed_distances(poly, apex.projection)
-    return poly.area + 0.5 * float(poly.lengths @ np.hypot(d, apex.height))
+    return float(_boundary(poly, _slants(d, apex.height)))
 
 
 def boundary_areas(poly: Polygon, points, height) -> np.ndarray:
@@ -69,7 +79,7 @@ def boundary_areas(poly: Polygon, points, height) -> np.ndarray:
     """
     h = _positive_height(height)
     d = signed_distances(poly, np.asarray(points, dtype=float).reshape(-1, 2))
-    return poly.area + 0.5 * (np.hypot(d, h) @ poly.lengths)
+    return _boundary(poly, _slants(d, h))
 
 
 def cone_volume(poly: Polygon, height) -> float:
@@ -108,5 +118,5 @@ def equal_angle_residual(poly: Polygon, point, height) -> float:
     """
     h = _positive_height(height)
     d = signed_distances(poly, point)
-    s = d / np.hypot(d, h)
+    s = d / _slants(d, h)
     return float(s.max() - s.min())

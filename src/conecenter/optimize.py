@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cone import Apex, isoperimetric_ratio
+from .cone import Apex, _boundary, _slants, cone_volume, isoperimetric_ratio
 from .errors import BracketingFailed, InputError, SolverError, _positive_height
 from .geometry import Polygon, centroid, signed_distances, triangle_incenter
 
@@ -85,16 +85,29 @@ class SweepEntry:
 
 
 def boundary_gradient(poly: Polygon, point, height) -> np.ndarray:
-    """Analytic gradient of the boundary area with respect to the projection."""
-    h = _positive_height(height)
-    d = signed_distances(poly, point)
-    return poly.normals.T @ (0.5 * poly.lengths * d / np.hypot(d, h))
+    """Analytic gradient of the boundary area with respect to the projection:
+    the direct-form gradient of the solver's own local model."""
+    return _local_model(poly, point, _positive_height(height), False)[3]
 
 
-def _search_direction(normals, lengths, h, slant, grad):
-    """Newton direction when the 2x2 Hessian is safely invertible, else the
-    negative gradient.  Returns ``(direction, used_newton)``."""
-    w = 0.5 * lengths * (h / slant) ** 2 / slant
+def _local_model(poly: Polygon, x, h, shifted):
+    """Distances ``d``, slants ``s``, value, gradient and Hessian weights
+    ``a_i h**2 / (2 s_i**3)`` of the direct or the shifted form at ``x``
+    (see the module docstring); ``h`` is already checked."""
+    lengths = poly.lengths
+    d = signed_distances(poly, x)
+    slant = _slants(d, h)
+    if shifted:
+        r = h * (h / (slant + np.abs(d))) + (np.abs(d) - d)  # slant - d
+        value, w = 0.5 * float(lengths @ r), -0.5 * lengths * r / slant
+    else:
+        value, w = 0.5 * float(lengths @ slant), 0.5 * lengths * d / slant
+    return d, slant, value, poly.normals.T @ w, 0.5 * lengths * (h / slant) ** 2 / slant
+
+
+def _search_direction(normals, w, grad):
+    """Newton direction for the Hessian ``sum_i w_i n_i n_i^T`` if it is safely
+    invertible, else the negative gradient.  Returns ``(direction, used_newton)``."""
     hxx = float(w @ (normals[:, 0] * normals[:, 0]))
     hyy = float(w @ (normals[:, 1] * normals[:, 1]))
     hxy = float(w @ (normals[:, 0] * normals[:, 1]))
@@ -104,13 +117,7 @@ def _search_direction(normals, lengths, h, slant, grad):
     det = hxx * hyy - hxy * hxy  # underflows to 0 for h/diameter beyond ~1e-77 or ~1e154
     if not 0.0 < det < math.inf or lam_min <= lam_max / MAX_CONDITION:
         return -grad, False
-    direction = np.array(
-        [
-            -(hyy * grad[0] - hxy * grad[1]) / det,
-            -(hxx * grad[1] - hxy * grad[0]) / det,
-        ]
-    )
-    return direction, True
+    return np.array([hxy * grad[1] - hyy * grad[0], hxy * grad[0] - hxx * grad[1]]) / det, True
 
 
 def center_at_height(poly: Polygon, height, tol=1e-10, x0=None, max_iter=200) -> CenterResult:
@@ -120,7 +127,7 @@ def center_at_height(poly: Polygon, height, tol=1e-10, x0=None, max_iter=200) ->
     ----------
     poly : Polygon
     height : finite positive float
-    tol : positive float
+    tol : finite positive float
         Converged when the Newton step is at most ``tol * diameter`` long;
         that step is taken.  Unlike the gradient, which shrinks like h**2,
         the step needs no scale factor in x or h.
@@ -143,35 +150,26 @@ def center_at_height(poly: Polygon, height, tol=1e-10, x0=None, max_iter=200) ->
     step leaves the iterate unchanged.
     """
     h = _positive_height(height)
-    if not tol > 0.0:
-        raise InputError(f"tol must be > 0, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise InputError(f"tol must be finite and > 0, got {tol}")
     x = centroid(poly) if x0 is None else np.asarray(x0, dtype=float).copy()
     if x.shape != (2,) or not np.all(np.isfinite(x)):
         raise InputError("starting point must be a finite 2-D point")
-    normals, lengths = poly.normals, poly.lengths
     step_tol = tol * poly.diameter
 
     # the shifted gradient terms sum_i a_i |s_i - d_i| / s_i are the smaller
     # sum exactly when sum_i a_i max(d_i, 0) / s_i exceeds perimeter / 2
-    d = signed_distances(poly, x)
-    shifted = float(lengths @ (np.maximum(d, 0.0) / np.hypot(d, h))) > 0.5 * poly.perimeter
-
-    def parts(x):
-        d = signed_distances(poly, x)
-        slant = np.hypot(d, h)
-        if shifted:
-            r = h * (h / (slant + np.abs(d))) + (np.abs(d) - d)  # slant - d
-            return slant, 0.5 * float(lengths @ r), normals.T @ (-0.5 * lengths * r / slant)
-        return slant, 0.5 * float(lengths @ slant), normals.T @ (0.5 * lengths * d / slant)
-
-    slant, value, grad = parts(x)
+    d, slant, value, grad, hess_w = _local_model(poly, x, h, False)
+    shifted = float(poly.lengths @ (np.maximum(d, 0.0) / slant)) > 0.5 * poly.perimeter
+    if shifted:
+        d, slant, value, grad, hess_w = _local_model(poly, x, h, True)
     iterations = 0
     converged = False
     while True:
-        step, used_newton = _search_direction(normals, lengths, h, slant, grad)
+        step, used_newton = _search_direction(poly.normals, hess_w, grad)
         if used_newton and float(np.linalg.norm(step)) <= step_tol:
             x = x + step
-            slant, value, grad = parts(x)
+            d, slant, value, grad, hess_w = _local_model(poly, x, h, shifted)
             converged = True
             break
         if iterations >= max_iter:
@@ -183,21 +181,22 @@ def center_at_height(poly: Polygon, height, tol=1e-10, x0=None, max_iter=200) ->
         t = 1.0
         while t >= 1e-14:
             x_try = x + t * step
-            slant_try, value_try, grad_try = parts(x_try)
-            if value_try <= value + ARMIJO_SLOPE * t * slope or float(grad_try @ step) <= 0.0:
+            trial = _local_model(poly, x_try, h, shifted)
+            if trial[2] <= value + ARMIJO_SLOPE * t * slope or float(trial[3] @ step) <= 0.0:
                 break
             t *= BACKTRACK_FACTOR
         if t < 1e-14 or np.array_equal(x_try, x):
             break
-        x, slant, value, grad = x_try, slant_try, value_try, grad_try
+        x = x_try
+        d, slant, value, grad, hess_w = trial
         iterations += 1
 
     return CenterResult(
         center=x.copy(),
         height=h,
-        boundary_area=poly.area + 0.5 * float(lengths @ slant),
+        boundary_area=float(_boundary(poly, slant)),
         gradient_norm=float(np.linalg.norm(grad)),
-        distances=signed_distances(poly, x),
+        distances=d,
         iterations=iterations,
         converged=converged,
     )
@@ -220,19 +219,19 @@ def optimal_cone(poly: Polygon, tol=1e-10) -> OptimalCone:
 
     Raises
     ------
+    InputError
+        If ``tol`` is not finite and > 0 (from the first inner solve).
     BracketingFailed
         If ``s`` shows no sign change in the expanded range; the exception
         carries the sampled ``(height, F)`` trace.
     """
-    if not tol > 0.0:
-        raise InputError(f"tol must be > 0, got {tol}")
     order: list[CenterResult] = []
 
     def slope(u: float) -> float:
         h = math.exp(u)
         res = center_at_height(poly, h, tol=tol, x0=order[-1].center if order else None)
         order.append(res)
-        inv_slant = 1.0 / np.hypot(res.distances, h)
+        inv_slant = 1.0 / _slants(res.distances, h)
         return 1.5 * h * h * float(poly.lengths @ inv_slant) / res.boundary_area - 2.0
 
     # b is always the newest point; a the one before, then the far end of the bracket
@@ -250,7 +249,7 @@ def optimal_cone(poly: Polygon, tol=1e-10) -> OptimalCone:
         raise BracketingFailed(
             "no sign change of the height derivative was bracketed",
             trace=sorted(
-                (r.height, r.boundary_area**3 / (poly.area * r.height / 3.0) ** 2) for r in order
+                (r.height, r.boundary_area**3 / cone_volume(poly, r.height) ** 2) for r in order
             ),
         )
 
@@ -291,21 +290,12 @@ def height_sweep(poly: Polygon, heights: Sequence, tol=1e-10) -> list[SweepEntry
         try:
             h = float(height)
         except (TypeError, ValueError) as exc:
-            entries.append(
-                SweepEntry(height=math.nan, result=None, ratio=None, error=str(exc))
-            )
+            entries.append(SweepEntry(math.nan, None, None, str(exc)))
             continue
         try:
             result = center_at_height(poly, h, tol=tol)
             ratio = isoperimetric_ratio(poly, Apex(projection=result.center, height=h))
             entries.append(SweepEntry(height=h, result=result, ratio=ratio, error=None))
         except (InputError, SolverError) as exc:
-            entries.append(
-                SweepEntry(
-                    height=h,
-                    result=None,
-                    ratio=None,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            entries.append(SweepEntry(h, None, None, f"{type(exc).__name__}: {exc}"))
     return entries

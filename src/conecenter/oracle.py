@@ -8,11 +8,12 @@ results without sharing any of its machinery.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import boundary_areas
+from .cone import boundary_areas, cone_volume
 from .errors import InputError, _positive_height
 from .geometry import Polygon
 
@@ -46,12 +47,12 @@ class GridSpec:
             raise InputError("grid box must be two finite 2-D corner points")
         if not np.all(upper > lower):
             raise InputError("grid box must have positive extent on both axes")
-        if self.resolution < 3:
-            raise InputError(f"grid resolution must be at least 3, got {self.resolution}")
-        if self.refine_rounds < 0:
-            raise InputError("refine_rounds must be nonnegative")
-        if not self.refine_zoom > 1.0:
-            raise InputError(f"refine_zoom must exceed 1, got {self.refine_zoom}")
+        if not isinstance(self.resolution, numbers.Integral) or self.resolution < 3:
+            raise InputError(f"grid resolution must be an integer >= 3, got {self.resolution!r}")
+        if not isinstance(self.refine_rounds, numbers.Integral) or self.refine_rounds < 0:
+            raise InputError(f"refine_rounds must be an integer >= 0, got {self.refine_rounds!r}")
+        if not 1.0 < self.refine_zoom < math.inf:
+            raise InputError(f"refine_zoom must be finite and exceed 1, got {self.refine_zoom}")
         object.__setattr__(
             self, "box", ((float(lower[0]), float(lower[1])), (float(upper[0]), float(upper[1])))
         )
@@ -112,17 +113,16 @@ def grid_min_ratio(poly: Polygon, spec_xy: GridSpec | None = None, h_range=(0.05
     h_lo, h_hi = (float(h) for h in h_range)
     if not 0.0 < h_lo < h_hi < math.inf:
         raise InputError(f"height range must satisfy 0 < lo < hi < inf, got {h_range}")
-    if h_samples < 3:
-        raise InputError(f"need at least 3 height samples, got {h_samples}")
+    if not isinstance(h_samples, numbers.Integral) or h_samples < 3:
+        raise InputError(f"h_samples must be an integer >= 3, got {h_samples!r}")
     if spec_xy is None:
         spec_xy = default_grid_spec(poly)
-    base_area = poly.area
     range_lo, range_hi = h_lo, h_hi
     best = (None, math.nan, math.inf)
     for _ in range(spec_xy.refine_rounds + 1):
         for h in np.linspace(h_lo, h_hi, h_samples):
             point, boundary = grid_min_boundary(poly, float(h), spec_xy)
-            value = boundary**3 / (base_area * h / 3.0) ** 2
+            value = boundary**3 / cone_volume(poly, h) ** 2
             if value < best[2]:
                 best = (point, float(h), float(value))
         extent = (h_hi - h_lo) / spec_xy.refine_zoom

@@ -36,6 +36,9 @@ HEXAGON = build_polygon(
     [(math.cos(k * math.pi / 3.0), math.sin(k * math.pi / 3.0)) for k in range(6)]
 )
 
+# a nonconvex U-shaped base; the faces over its two notch walls overhang
+U_SHAPE = build_polygon([(0, 0), (4, 0), (4, 3), (3, 3), (3, 1), (1, 1), (1, 3), (0, 3)])
+
 # published fixed-height centers for the trapezoid, <= 1e-3 accurate
 TRAPEZOID_SWEEP = {1.0: 0.9169, 2.0: 0.9079, 3.0: 0.9045, 4.0: 0.9031}
 
@@ -149,6 +152,31 @@ def test_gradient_matches_finite_differences():
             assert np.linalg.norm(grad - approx) <= 1e-6 * scale
 
 
+def test_shifted_form_matches_the_direct_form():
+    # both forms of the solver's local model have the same gradient, and
+    # their values differ by sum_i a_i d_i / 2 = area, within the summation
+    # rounding bound m * eps * sum_i a_i (s_i + |d_i|)
+    rng = np.random.default_rng(89)
+    for poly in (TRAPEZOID, U_SHAPE):
+        step = 1e-6 * poly.diameter
+        lo, hi = poly.bounding_box
+        for h in (0.3, 1.0, 3.0):
+            for _ in range(10):
+                p = rng.uniform(lo - 0.5, hi + 0.5)
+                d, slant, direct, grad, _ = optimize_module._local_model(poly, p, h, False)
+                _, _, shifted, grad_shifted, _ = optimize_module._local_model(poly, p, h, True)
+                bound = len(d) * np.finfo(float).eps * float(poly.lengths @ (slant + np.abs(d)))
+                assert abs(direct - shifted - poly.area) <= bound
+                scale = max(np.linalg.norm(grad), 1e-9 * poly.perimeter)
+                assert np.linalg.norm(grad_shifted - grad) <= 1e-12 * scale
+                for form in (False, True):
+                    approx = finite_diff_gradient(
+                        lambda q: optimize_module._local_model(poly, q, h, form)[2], p, step
+                    )
+                    assert np.linalg.norm(approx - grad) <= 1e-6 * scale
+                    assert np.linalg.norm(approx - grad_shifted) <= 1e-6 * scale
+
+
 def test_gradient_is_zero_only_at_the_center():
     res = center_at_height(TRAPEZOID, 1.5)
     g0 = boundary_gradient(TRAPEZOID, res.center, 1.5)
@@ -209,10 +237,14 @@ def test_center_rejects_bad_arguments():
         center_at_height(TRAPEZOID, -1.0)
     with pytest.raises(NonpositiveHeight):
         center_at_height(TRAPEZOID, math.inf)
-    with pytest.raises(InputError):
-        center_at_height(TRAPEZOID, 1.0, tol=0.0)
-    with pytest.raises(InputError):
-        optimal_cone(TRAPEZOID, tol=-1e-3)
+    for tol in (0.0, math.inf, math.nan):
+        with pytest.raises(InputError, match="tol must be finite and > 0"):
+            center_at_height(TRAPEZOID, 1.0, tol=tol)
+    for tol in (-1e-3, math.inf):
+        with pytest.raises(InputError, match="tol must be finite and > 0"):
+            optimal_cone(TRAPEZOID, tol=tol)
+    [entry] = height_sweep(TRAPEZOID, [1.0], tol=math.inf)
+    assert entry.result is None and "tol must be finite" in entry.error
     for x0 in [(math.nan, 0.0), (math.inf, 0.0), (1.0, 0.0, 0.0)]:
         with pytest.raises(InputError, match="starting point must be a finite 2-D point"):
             center_at_height(TRAPEZOID, 1.0, x0=x0)

@@ -43,6 +43,9 @@ def light_spec(poly, resolution=61, refine_rounds=5):
         dict(box=((1.0, 1.0), (0.0, 0.0))),
         dict(box=((0.0, 0.0), (0.0, 1.0))),
         dict(box=((0.0, float("nan")), (1.0, 1.0))),
+        dict(box=((0.0, 0.0), (1.0, 1.0)), resolution=11.0),
+        dict(box=((0.0, 0.0), (1.0, 1.0)), refine_rounds=2.5),
+        dict(box=((0.0, 0.0), (1.0, 1.0)), refine_zoom=math.inf),
     ],
 )
 def test_grid_spec_rejects_bad_parameters(kwargs):
@@ -139,6 +142,8 @@ def test_grid_min_ratio_argument_validation():
         grid_min_ratio(RIGHT_TRIANGLE, h_range=(1.0, math.inf))
     with pytest.raises(InputError):
         grid_min_ratio(RIGHT_TRIANGLE, h_samples=2)
+    with pytest.raises(InputError, match="h_samples must be an integer"):
+        grid_min_ratio(RIGHT_TRIANGLE, h_samples=7.0)
 
 
 def test_grid_min_ratio_recovers_triangle_height_law():
