@@ -20,6 +20,7 @@ each inner solve; ``height_sweep`` runs independent fixed-height solves.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -41,7 +42,6 @@ __all__ = [
 
 ARMIJO_SLOPE = 1e-4
 BACKTRACK_FACTOR = 0.5
-MAX_CONDITION = 1e12
 _MAX_EXPANSIONS = 8
 
 
@@ -91,9 +91,9 @@ def boundary_gradient(poly: Polygon, point, height) -> np.ndarray:
 
 
 def _local_model(poly: Polygon, x, h, shifted):
-    """Distances ``d``, slants ``s``, value, gradient and Hessian weights
-    ``a_i h**2 / (2 s_i**3)`` of the direct or the shifted form at ``x``
-    (see the module docstring); ``h`` is already checked."""
+    """Distances ``d``, slants ``s``, value, gradient ``sum_i w_i n_i`` and
+    its weights ``w`` of the direct or the shifted form at ``x`` (see the
+    module docstring); ``h`` is already checked."""
     lengths = poly.lengths
     d = signed_distances(poly, x)
     slant = _slants(d, h)
@@ -102,22 +102,27 @@ def _local_model(poly: Polygon, x, h, shifted):
         value, w = 0.5 * float(lengths @ r), -0.5 * lengths * r / slant
     else:
         value, w = 0.5 * float(lengths @ slant), 0.5 * lengths * d / slant
-    return d, slant, value, poly.normals.T @ w, 0.5 * lengths * (h / slant) ** 2 / slant
+    return d, slant, value, poly.normals.T @ w, w
 
 
-def _search_direction(normals, w, grad):
-    """Newton direction for the Hessian ``sum_i w_i n_i n_i^T`` if it is safely
-    invertible, else the negative gradient.  Returns ``(direction, used_newton)``."""
-    hxx = float(w @ (normals[:, 0] * normals[:, 0]))
-    hyy = float(w @ (normals[:, 1] * normals[:, 1]))
-    hxy = float(w @ (normals[:, 0] * normals[:, 1]))
-    mean = 0.5 * (hxx + hyy)
-    disc = math.hypot(0.5 * (hxx - hyy), hxy)
-    lam_min, lam_max = mean - disc, mean + disc
-    det = hxx * hyy - hxy * hxy  # underflows to 0 for h/diameter beyond ~1e-77 or ~1e154
-    if not 0.0 < det < math.inf or lam_min <= lam_max / MAX_CONDITION:
-        return -grad, False
-    return np.array([hxy * grad[1] - hyy * grad[0], hxy * grad[0] - hxx * grad[1]]) / det, True
+def _newton_step(poly: Polygon, slant, h, grad, grad_weights):
+    """Newton step for the Hessian ``sum_i w_i n_i n_i^T`` with weights
+    ``w_i = a_i h**2 / (2 s_i**3)``, and how far rounding in the gradient
+    can move it; ``None`` when the determinant is lost to cancellation or
+    under- or overflows."""
+    eps = sys.float_info.epsilon
+    w = 0.5 * poly.lengths * (h / slant) ** 2 / slant
+    nx, ny = poly.normals[:, 0], poly.normals[:, 1]
+    hxx, hyy, hxy = float(w @ (nx * nx)), float(w @ (ny * ny)), float(w @ (nx * ny))
+    # det under- or overflows for h/diameter beyond ~1e-77 or ~1e154, and
+    # is rounding noise when the heaviest edges are parallel and off the axes
+    det = hxx * hyy - hxy * hxy
+    if not 4.0 * eps * hxx * hyy < det < math.inf:
+        return None
+    # each gradient term is rounded by up to eps / 2 in each component
+    ex, ey = (np.abs(poly.normals).T @ np.abs(grad_weights)).tolist()
+    noise = 0.5 * eps * math.hypot(hyy * ex + abs(hxy) * ey, abs(hxy) * ex + hxx * ey) / det
+    return np.array([hxy * grad[1] - hyy * grad[0], hxy * grad[0] - hxx * grad[1]]) / det, noise
 
 
 def center_at_height(poly: Polygon, height, tol=1e-10, x0=None, max_iter=200) -> CenterResult:
@@ -128,9 +133,10 @@ def center_at_height(poly: Polygon, height, tol=1e-10, x0=None, max_iter=200) ->
     poly : Polygon
     height : finite positive float
     tol : finite positive float
-        Converged when the Newton step is at most ``tol * diameter`` long;
-        that step is taken.  Unlike the gradient, which shrinks like h**2,
-        the step needs no scale factor in x or h.
+        Converged when the Newton step, plus how far rounding in the
+        gradient can move it, is at most ``tol * diameter`` long; that step
+        is taken.  Unlike the gradient, which shrinks like h**2, the step
+        needs no scale factor in x or h.
     x0 : array_like, optional
         Finite starting point; defaults to the centroid.
     max_iter : int
@@ -146,8 +152,11 @@ def center_at_height(poly: Polygon, height, tol=1e-10, x0=None, max_iter=200) ->
     on the Armijo condition or when the slope at the new point along the
     step is not positive, which by convexity means the value has not risen
     even where its differences fall below rounding.  The loop ends
-    unconverged when backtracking gets below ``t = 1e-14`` or an accepted
-    step leaves the iterate unchanged.
+    unconverged when backtracking gets below ``t = 1e-14``, an accepted
+    step leaves the iterate unchanged, the step is no longer than its
+    rounding, or the Hessian determinant is lost: to cancellation on thin
+    bases whose long edges are parallel and off the axes, or to under- or
+    overflow for ``h / diameter`` beyond about 1e-77 or 1e154.
     """
     h = _positive_height(height)
     if not 0.0 < tol < math.inf:
@@ -159,25 +168,26 @@ def center_at_height(poly: Polygon, height, tol=1e-10, x0=None, max_iter=200) ->
 
     # the shifted gradient terms sum_i a_i |s_i - d_i| / s_i are the smaller
     # sum exactly when sum_i a_i max(d_i, 0) / s_i exceeds perimeter / 2
-    d, slant, value, grad, hess_w = _local_model(poly, x, h, False)
+    d, slant, value, grad, grad_w = _local_model(poly, x, h, False)
     shifted = float(poly.lengths @ (np.maximum(d, 0.0) / slant)) > 0.5 * poly.perimeter
     if shifted:
-        d, slant, value, grad, hess_w = _local_model(poly, x, h, True)
+        d, slant, value, grad, grad_w = _local_model(poly, x, h, True)
     iterations = 0
     converged = False
     while True:
-        step, used_newton = _search_direction(poly.normals, hess_w, grad)
-        if used_newton and float(np.linalg.norm(step)) <= step_tol:
+        newton = _newton_step(poly, slant, h, grad, grad_w)
+        if newton is None:
+            break
+        step, noise = newton
+        length = float(np.linalg.norm(step))
+        if length + noise <= step_tol:
             x = x + step
-            d, slant, value, grad, hess_w = _local_model(poly, x, h, shifted)
+            d, slant, value, grad, grad_w = _local_model(poly, x, h, shifted)
             converged = True
             break
-        if iterations >= max_iter:
+        if iterations >= max_iter or length <= noise:
             break
         slope = float(grad @ step)
-        if slope >= 0.0:
-            step = -grad
-            slope = -float(grad @ grad)
         t = 1.0
         while t >= 1e-14:
             x_try = x + t * step
@@ -188,7 +198,7 @@ def center_at_height(poly: Polygon, height, tol=1e-10, x0=None, max_iter=200) ->
         if t < 1e-14 or np.array_equal(x_try, x):
             break
         x = x_try
-        d, slant, value, grad, hess_w = trial
+        d, slant, value, grad, grad_w = trial
         iterations += 1
 
     return CenterResult(
