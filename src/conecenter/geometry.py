@@ -204,7 +204,9 @@ def signed_distances(poly: Polygon, points) -> np.ndarray:
     ``(n, 2)`` gives shape ``(n, m)``.  A point's distances are all
     positive exactly when it lies strictly inside a convex polygon.
     """
-    return np.asarray(points, dtype=float) @ poly.normals.T + poly.offsets
+    d = np.asarray(points, dtype=float) @ poly.normals.T
+    d += poly.offsets
+    return d
 
 
 def triangle_incenter(poly: Polygon) -> Circle:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import boundary_areas, cone_volume
-from .errors import InputError, _positive_height
+from .errors import InputError, SolverError, _positive_height
 from .geometry import Polygon
 
 __all__ = [
@@ -71,44 +71,55 @@ def default_grid_spec(poly: Polygon) -> GridSpec:
     return GridSpec(box=(tuple(lower - pad), tuple(upper + pad)))
 
 
+def _refine_in_lockstep(poly: Polygon, heights, spec: GridSpec):
+    """The refinement scan of ``spec`` at ``k`` heights, one box each, in lockstep.
+
+    Returns the ``(k, 2)`` best points and the ``(k,)`` best values.
+    """
+    bound_lo, bound_hi = (np.asarray(side, dtype=float) for side in spec.box)
+    k = len(heights)
+    lower, upper = np.tile(bound_lo, (k, 1)), np.tile(bound_hi, (k, 1))
+    best_points, best_values = np.empty((k, 2)), np.full(k, math.inf)
+    for _ in range(spec.refine_rounds + 1):
+        axes = np.linspace(lower, upper, spec.resolution, axis=1)
+        # x-major layout so np.argmin's first hit is the lexicographic least
+        grids = np.broadcast_arrays(axes[:, :, None, 0], axes[:, None, :, 1])
+        points = np.stack(grids, axis=-1).reshape(k, -1, 2)
+        for i, h in enumerate(heights):
+            values = boundary_areas(poly, points[i], h)
+            j = int(np.argmin(values))
+            if values[j] < best_values[i]:
+                best_points[i], best_values[i] = points[i, j], values[j]
+            elif best_values[i] == math.inf:
+                raise SolverError(f"boundary area is not finite anywhere on the grid at height {h!r}")
+        extent = (upper - lower) / spec.refine_zoom
+        lower = np.clip(best_points - 0.5 * extent, bound_lo, bound_hi - extent)
+        upper = lower + extent
+    return best_points, best_values
+
+
 def grid_min_boundary(poly: Polygon, height, spec: GridSpec | None = None):
     """Grid minimum of the boundary area over apex projections.
 
     Runs one scan of the declared box plus ``refine_rounds`` zoomed scans
     around the incumbent, never evaluating outside the declared box.  Ties
     go to the lexicographically smallest grid coordinates.  Returns
-    ``(point, value)``.
+    ``(point, value)``; raises ``SolverError`` when no grid value of the
+    first scan is finite.
     """
     h = _positive_height(height)
-    if spec is None:
-        spec = default_grid_spec(poly)
-    lower_bound = np.asarray(spec.box[0], dtype=float)
-    upper_bound = np.asarray(spec.box[1], dtype=float)
-    lower, upper = lower_bound.copy(), upper_bound.copy()
-    best_point = None
-    best_value = math.inf
-    for _ in range(spec.refine_rounds + 1):
-        xs = np.linspace(lower[0], upper[0], spec.resolution)
-        ys = np.linspace(lower[1], upper[1], spec.resolution)
-        # x-major layout so np.argmin's first hit is the lexicographic least
-        points = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-        values = boundary_areas(poly, points, h)
-        k = int(np.argmin(values))
-        if values[k] < best_value:
-            best_value = float(values[k])
-            best_point = points[k].copy()
-        extent = (upper - lower) / spec.refine_zoom
-        lower = np.clip(best_point - 0.5 * extent, lower_bound, upper_bound - extent)
-        upper = lower + extent
-    return best_point, best_value
+    points, values = _refine_in_lockstep(poly, [h], spec or default_grid_spec(poly))
+    return points[0], float(values[0])
 
 
 def grid_min_ratio(poly: Polygon, spec_xy: GridSpec | None = None, h_range=(0.05, 10.0), h_samples=33):
     """Grid minimum of ``boundary**3 / volume**2`` over projection and height.
 
-    Each sampled height runs :func:`grid_min_boundary` with ``spec_xy``;
-    the height interval is then re-centered on the best sample and shrunk
-    with the same zoom schedule.  Returns ``(point, height, value)``.
+    Each round scans ``h_samples`` heights with ``spec_xy``, as
+    :func:`grid_min_boundary` would; the height interval is then
+    re-centered on the best sample and shrunk with the same zoom schedule.
+    Returns ``(point, height, value)``; raises ``SolverError`` when the
+    ratio at a sampled height is not a finite float.
     """
     h_lo, h_hi = (float(h) for h in h_range)
     if not 0.0 < h_lo < h_hi < math.inf:
@@ -120,11 +131,17 @@ def grid_min_ratio(poly: Polygon, spec_xy: GridSpec | None = None, h_range=(0.05
     range_lo, range_hi = h_lo, h_hi
     best = (None, math.nan, math.inf)
     for _ in range(spec_xy.refine_rounds + 1):
-        for h in np.linspace(h_lo, h_hi, h_samples):
-            point, boundary = grid_min_boundary(poly, float(h), spec_xy)
-            value = boundary**3 / cone_volume(poly, h) ** 2
+        heights = np.linspace(h_lo, h_hi, h_samples).tolist()
+        points, boundaries = _refine_in_lockstep(poly, heights, spec_xy)
+        for h, point, boundary in zip(heights, points, boundaries.tolist()):
+            try:
+                value = boundary**3 / cone_volume(poly, h) ** 2
+            except (OverflowError, ZeroDivisionError):
+                value = math.inf
+            if not 0.0 < value < math.inf:
+                raise SolverError(f"boundary**3 / volume**2 leaves the float range at height {h!r}")
             if value < best[2]:
-                best = (point, float(h), float(value))
+                best = (point, h, value)
         extent = (h_hi - h_lo) / spec_xy.refine_zoom
         h_lo = min(max(best[1] - 0.5 * extent, range_lo), range_hi - extent)
         h_hi = h_lo + extent

@@ -96,6 +96,13 @@ def test_triangle_boundary_closed_form_at_incenter():
         assert boundary_area(poly, Apex(inc.center, h)) == pytest.approx(expected, rel=1e-12)
 
 
+# boundary_areas vs boundary_area on the trapezoid (m = 4): the batch slant
+# sqrt(d*d + h*h) rounds four times where hypot rounds once (about 1 eps),
+# and the batch distances and the four-term sum may round in another order
+# (about 1 eps each).  The worst seen is 1.7 eps.
+BATCH_REL_TOL = 4.0 * np.finfo(float).eps
+
+
 def test_boundary_areas_matches_scalar_evaluation():
     rng = np.random.default_rng(23)
     pts = rng.uniform(-3.0, 3.0, size=(40, 2))
@@ -103,7 +110,22 @@ def test_boundary_areas_matches_scalar_evaluation():
         vec = boundary_areas(TRAPEZOID, pts, h)
         assert vec.shape == (40,)
         for p, v in zip(pts, vec):
-            assert v == pytest.approx(boundary_area(TRAPEZOID, Apex(p, h)), rel=1e-13)
+            assert v == pytest.approx(boundary_area(TRAPEZOID, Apex(p, h)), rel=BATCH_REL_TOL)
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+@pytest.mark.parametrize("h", [5e-324, 1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300])
+def test_boundary_areas_stays_accurate_at_extreme_scales(scale, h):
+    poly = build_polygon(np.array([(0.0, -1.0), (2.0, -2.0), (2.0, 2.0), (0.0, 1.0)]) * scale)
+    pts = np.random.default_rng(43).uniform(-3.0, 3.0, size=(200, 2)) * scale
+    vec = boundary_areas(poly, pts, h)  # any warning fails the test (pyproject filterwarnings)
+    if h * scale > 1e300:
+        # the lateral area is about 5e400, beyond the float range
+        assert np.all(vec == math.inf)
+        return
+    assert np.all(np.isfinite(vec))
+    for p, v in zip(pts, vec):
+        assert v == pytest.approx(boundary_area(poly, Apex(p, h)), rel=BATCH_REL_TOL)
 
 
 def test_lateral_area_lower_bounds():

@@ -8,6 +8,7 @@ from conecenter import (
     GridSpec,
     InputError,
     NonpositiveHeight,
+    SolverError,
     build_polygon,
     center_at_height,
     default_grid_spec,
@@ -112,14 +113,50 @@ def test_grid_scan_never_leaves_the_declared_box(monkeypatch):
 
     monkeypatch.setattr(oracle_module, "boundary_areas", recording)
     point, _ = grid_min_boundary(TRAPEZOID, 1.0, spec)
+    ratio_point, height, _ = grid_min_ratio(TRAPEZOID, spec, h_range=(0.5, 8.0), h_samples=5)
+    rounds = spec.refine_rounds + 1
+    assert len(seen) == rounds + rounds * 5 * rounds  # ratio: 5 heights per height round
     lo = np.array(box[0])
     hi = np.array(box[1])
     for batch in seen:
         assert np.all(batch >= lo - 1e-12)
         assert np.all(batch <= hi + 1e-12)
-    # the unconstrained minimizer sits left of the box, so the scan pins x
-    assert point[0] == pytest.approx(1.5, abs=1e-12)
-    assert abs(point[1]) <= spec.final_resolution() * 10.0
+    # the unconstrained minimizers sit left of the box, so both scans pin x
+    for p in (point, ratio_point):
+        assert p[0] == pytest.approx(1.5, abs=1e-12)
+        assert abs(p[1]) <= spec.final_resolution() * 10.0
+    assert 0.5 <= height <= 8.0
+
+
+def test_lockstep_scan_matches_one_scan_per_height():
+    spec = light_spec(TRAPEZOID)
+    heights = [0.05, 0.7, 2.0, 3.25, 40.0]
+    points, values = oracle_module._refine_in_lockstep(TRAPEZOID, heights, spec)
+    assert points.shape == (5, 2)
+    assert values.shape == (5,)
+    for h, point, value in zip(heights, points, values):
+        alone_point, alone_value = grid_min_boundary(TRAPEZOID, h, spec)
+        assert point.tobytes() == alone_point.tobytes()
+        assert value.tobytes() == np.float64(alone_value).tobytes()
+
+
+def test_grid_min_boundary_names_a_height_where_no_value_is_finite():
+    # the lateral area is about 5e308 at every grid point
+    with pytest.raises(SolverError, match=r"height 1e\+308"):
+        grid_min_boundary(TRAPEZOID, 1e308, light_spec(TRAPEZOID, resolution=11, refine_rounds=1))
+
+
+@pytest.mark.parametrize(
+    "h_range, named",
+    [
+        pytest.param((1e300, 1e306), r"height 1e\+300", id="boundary-cubed-overflows"),
+        pytest.param((1e-200, 1e-190), r"height 1e-200", id="volume-squared-underflows"),
+    ],
+)
+def test_grid_min_ratio_names_a_height_where_the_ratio_leaves_the_float_range(h_range, named):
+    spec = light_spec(TRAPEZOID, resolution=11, refine_rounds=1)
+    with pytest.raises(SolverError, match=named):
+        grid_min_ratio(TRAPEZOID, spec, h_range=h_range, h_samples=3)
 
 
 def test_flat_objective_ties_break_to_lower_left_corner(monkeypatch):
