@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, _positive_height
+from .errors import InputError, SolverError, _positive_height
 from .geometry import Polygon, signed_distances
 
 __all__ = [
@@ -95,9 +95,25 @@ def cone_volume(poly: Polygon, height) -> float:
     return poly.area * _positive_height(height) / 3.0
 
 
+def _ratio(poly: Polygon, boundary: float, h: float) -> float:
+    """``boundary**3 / volume**2`` of the cone of height ``h`` (already
+    checked) formed as ``9 * B * q**2`` with ``q = B / A / h``: every factor
+    stays in the float range while the ratio does.  SolverError when the
+    ratio itself is not a finite float."""
+    q = boundary / poly.area / h
+    ratio = 9.0 * (boundary * q * q)
+    if not math.isfinite(ratio):
+        raise SolverError(f"isoperimetric ratio at h={h:g} is beyond the float range")
+    return ratio
+
+
 def isoperimetric_ratio(poly: Polygon, apex: Apex) -> float:
-    """Scale-invariant quality measure ``boundary_area**3 / volume**2``."""
-    return boundary_area(poly, apex) ** 3 / cone_volume(poly, apex.height) ** 2
+    """Scale-invariant quality measure ``boundary_area**3 / volume**2``.
+
+    Raises SolverError when the ratio overflows a float, as it does on
+    compact bases for ``h / diameter`` below about 1e-154 or above 1e306.
+    """
+    return _ratio(poly, boundary_area(poly, apex), apex.height)
 
 
 def phi(t) -> float:

@@ -90,6 +90,16 @@ class Polygon:
         scale = np.linalg.norm(edge, axis=1) * np.linalg.norm(nxt, axis=1)
         return bool(np.all(cross >= -1e-12 * scale))
 
+    @cached_property
+    def _centroid(self) -> np.ndarray:
+        # every cold solve starts here; centroid() hands out copies
+        v = self.vertices
+        w = np.roll(v, -1, axis=0)
+        cross = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
+        cx = float(((v[:, 0] + w[:, 0]) * cross).sum() / (6.0 * self.area))
+        cy = float(((v[:, 1] + w[:, 1]) * cross).sum() / (6.0 * self.area))
+        return _readonly([cx, cy])
+
 
 @dataclass(frozen=True, eq=False)
 class Circle:
@@ -253,12 +263,7 @@ def chebyshev_center(poly: Polygon) -> Circle:
 
 def centroid(poly: Polygon) -> np.ndarray:
     """Area centroid from the standard signed-triangle decomposition."""
-    v = poly.vertices
-    w = np.roll(v, -1, axis=0)
-    cross = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
-    cx = float(((v[:, 0] + w[:, 0]) * cross).sum() / (6.0 * poly.area))
-    cy = float(((v[:, 1] + w[:, 1]) * cross).sum() / (6.0 * poly.area))
-    return np.array([cx, cy])
+    return poly._centroid.copy()
 
 
 def polygon_from_json(text: str) -> Polygon:

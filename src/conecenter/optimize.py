@@ -14,7 +14,8 @@ minimizes it and stops on the length of the Newton step.
 
 ``optimal_cone`` minimizes ``F = boundary**3 / volume**2`` over the height
 as the root of ``h * d(log F)/dh``, which the envelope theorem reads off
-each inner solve; ``height_sweep`` runs independent fixed-height solves.
+each inner solve.  ``height_sweep`` continues the center along the given
+heights: each solve starts at the last converged center.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cone import Apex, _boundary, _slants, cone_volume, isoperimetric_ratio
+from .cone import _boundary, _ratio, _slants
 from .errors import BracketingFailed, InputError, SolverError, _positive_height
 from .geometry import Polygon, centroid, signed_distances, triangle_incenter
 
@@ -105,26 +106,6 @@ def _local_model(poly: Polygon, x, h, shifted):
     return d, slant, value, poly.normals.T @ w, w
 
 
-def _newton_step(poly: Polygon, slant, h, grad, grad_weights):
-    """Newton step for the Hessian ``sum_i w_i n_i n_i^T`` with weights
-    ``w_i = a_i h**2 / (2 s_i**3)``, and how far rounding in the gradient
-    can move it; ``None`` when the determinant is lost to cancellation or
-    under- or overflows."""
-    eps = sys.float_info.epsilon
-    w = 0.5 * poly.lengths * (h / slant) ** 2 / slant
-    nx, ny = poly.normals[:, 0], poly.normals[:, 1]
-    hxx, hyy, hxy = float(w @ (nx * nx)), float(w @ (ny * ny)), float(w @ (nx * ny))
-    # det under- or overflows for h/diameter beyond ~1e-77 or ~1e154, and
-    # is rounding noise when the heaviest edges are parallel and off the axes
-    det = hxx * hyy - hxy * hxy
-    if not 4.0 * eps * hxx * hyy < det < math.inf:
-        return None
-    # each gradient term is rounded by up to eps / 2 in each component
-    ex, ey = (np.abs(poly.normals).T @ np.abs(grad_weights)).tolist()
-    noise = 0.5 * eps * math.hypot(hyy * ex + abs(hxy) * ey, abs(hxy) * ex + hxx * ey) / det
-    return np.array([hxy * grad[1] - hyy * grad[0], hxy * grad[0] - hxx * grad[1]]) / det, noise
-
-
 def center_at_height(poly: Polygon, height, tol=1e-10, x0=None, max_iter=200) -> CenterResult:
     """Minimize the cone boundary area over the apex projection at fixed height.
 
@@ -161,10 +142,16 @@ def center_at_height(poly: Polygon, height, tol=1e-10, x0=None, max_iter=200) ->
     h = _positive_height(height)
     if not 0.0 < tol < math.inf:
         raise InputError(f"tol must be finite and > 0, got {tol}")
-    x = centroid(poly) if x0 is None else np.asarray(x0, dtype=float).copy()
-    if x.shape != (2,) or not np.all(np.isfinite(x)):
+    x = centroid(poly) if x0 is None else np.asarray(x0, dtype=float)
+    if x.shape != (2,) or not all(map(math.isfinite, x.tolist())):
         raise InputError("starting point must be a finite 2-D point")
+    px, py = x.tolist()
     step_tol = tol * poly.diameter
+    eps = sys.float_info.epsilon
+    # per-solve constants of the Newton step: a_i / 2, |n_i| and n_i n_i^T flattened
+    half = 0.5 * poly.lengths
+    abs_normals_t = np.abs(poly.normals.T)
+    products = (poly.normals[:, :, None] * poly.normals[:, None, :]).reshape(-1, 4)
 
     # the shifted gradient terms sum_i a_i |s_i - d_i| / s_i are the smaller
     # sum exactly when sum_i a_i max(d_i, 0) / s_i exceeds perimeter / 2
@@ -175,37 +162,46 @@ def center_at_height(poly: Polygon, height, tol=1e-10, x0=None, max_iter=200) ->
     iterations = 0
     converged = False
     while True:
-        newton = _newton_step(poly, slant, h, grad, grad_w)
-        if newton is None:
+        # Newton step for the Hessian sum_i w_i n_i n_i^T, w_i = a_i h**2 / (2 s_i**3)
+        hxx, hxy, _, hyy = ((half * (h / slant) ** 2 / slant) @ products).tolist()
+        # det under- or overflows for h/diameter beyond ~1e-77 or ~1e154, and
+        # is rounding noise when the heaviest edges are parallel and off the axes
+        det = hxx * hyy - hxy * hxy
+        if not 4.0 * eps * hxx * hyy < det < math.inf:
             break
-        step, noise = newton
-        length = float(np.linalg.norm(step))
+        gx, gy = grad.tolist()
+        sx, sy = (hxy * gy - hyy * gx) / det, (hxy * gx - hxx * gy) / det
+        # how far rounding in the gradient, up to eps / 2 per term and component, moves it
+        ex, ey = (abs_normals_t @ np.abs(grad_w)).tolist()
+        noise = 0.5 * eps * math.hypot(hyy * ex + abs(hxy) * ey, abs(hxy) * ex + hxx * ey) / det
+        length = math.hypot(sx, sy)
         if length + noise <= step_tol:
-            x = x + step
-            d, slant, value, grad, grad_w = _local_model(poly, x, h, shifted)
+            px, py = px + sx, py + sy
+            d, slant, value, grad, grad_w = _local_model(poly, (px, py), h, shifted)
             converged = True
             break
         if iterations >= max_iter or length <= noise:
             break
-        slope = float(grad @ step)
+        slope = gx * sx + gy * sy
         t = 1.0
         while t >= 1e-14:
-            x_try = x + t * step
-            trial = _local_model(poly, x_try, h, shifted)
-            if trial[2] <= value + ARMIJO_SLOPE * t * slope or float(trial[3] @ step) <= 0.0:
+            tx, ty = px + t * sx, py + t * sy
+            trial = _local_model(poly, (tx, ty), h, shifted)
+            gx, gy = trial[3].tolist()
+            if trial[2] <= value + ARMIJO_SLOPE * t * slope or gx * sx + gy * sy <= 0.0:
                 break
             t *= BACKTRACK_FACTOR
-        if t < 1e-14 or np.array_equal(x_try, x):
+        if t < 1e-14 or (tx == px and ty == py):
             break
-        x = x_try
+        px, py = tx, ty
         d, slant, value, grad, grad_w = trial
         iterations += 1
 
     return CenterResult(
-        center=x.copy(),
+        center=np.array([px, py]),
         height=h,
         boundary_area=float(_boundary(poly, slant)),
-        gradient_norm=float(np.linalg.norm(grad)),
+        gradient_norm=math.hypot(*grad.tolist()),
         distances=d,
         iterations=iterations,
         converged=converged,
@@ -258,9 +254,7 @@ def optimal_cone(poly: Polygon, tol=1e-10) -> OptimalCone:
     if s_a * s_b > 0.0:
         raise BracketingFailed(
             "no sign change of the height derivative was bracketed",
-            trace=sorted(
-                (r.height, r.boundary_area**3 / cone_volume(poly, r.height) ** 2) for r in order
-            ),
+            trace=sorted((r.height, _ratio(poly, r.boundary_area, r.height)) for r in order),
         )
 
     for _ in range(500):
@@ -279,7 +273,7 @@ def optimal_cone(poly: Polygon, tol=1e-10) -> OptimalCone:
         b, s_b = c, s_c
 
     best = order[-1]
-    ratio = isoperimetric_ratio(poly, Apex(projection=best.center, height=best.height))
+    ratio = _ratio(poly, best.boundary_area, best.height)
     height_over_inradius = (
         best.height / triangle_incenter(poly).radius if len(poly.vertices) == 3 else None
     )
@@ -294,8 +288,13 @@ def optimal_cone(poly: Polygon, tol=1e-10) -> OptimalCone:
 
 def height_sweep(poly: Polygon, heights: Sequence, tol=1e-10) -> list[SweepEntry]:
     """Fixed-height solves over ``heights``; failures land in the entry's
-    ``error`` field instead of aborting the sweep."""
+    ``error`` field instead of aborting the sweep.  Each solve starts at the
+    center of the last entry, in the given order, that converged (at the
+    centroid before one has), so a failed or unconverged entry seeds nothing;
+    the objective is strictly convex, so the start moves the path, not the
+    answer."""
     entries: list[SweepEntry] = []
+    start = None
     for height in heights:
         try:
             h = float(height)
@@ -303,9 +302,12 @@ def height_sweep(poly: Polygon, heights: Sequence, tol=1e-10) -> list[SweepEntry
             entries.append(SweepEntry(math.nan, None, None, str(exc)))
             continue
         try:
-            result = center_at_height(poly, h, tol=tol)
-            ratio = isoperimetric_ratio(poly, Apex(projection=result.center, height=h))
-            entries.append(SweepEntry(height=h, result=result, ratio=ratio, error=None))
+            result = center_at_height(poly, h, tol=tol, x0=start)
+            ratio = _ratio(poly, result.boundary_area, h)
         except (InputError, SolverError) as exc:
             entries.append(SweepEntry(h, None, None, f"{type(exc).__name__}: {exc}"))
+            continue
+        entries.append(SweepEntry(height=h, result=result, ratio=ratio, error=None))
+        if result.converged:
+            start = result.center
     return entries

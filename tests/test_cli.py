@@ -138,6 +138,20 @@ def test_sweep_values_use_twelve_significant_digits(capsys):
     assert row[1] == "0.916906781991"
 
 
+def test_sweep_at_a_height_where_the_boundary_cubed_overflows(capsys):
+    code, out, err = run(capsys, "sweep", TRAPEZOID, "--heights", "1,1e110")
+    assert code == 0
+    assert err == ""
+    rows = list(csv.DictReader(io.StringIO(out)))
+    # for h >> diameter the ratio tends to 9 * perimeter**3 * h / (8 * area**2)
+    perimeter = 6.0 + 2.0 * math.sqrt(5.0)
+    assert float(rows[1]["ratio"]) == pytest.approx(9.0 * perimeter**3 * 1e110 / 288.0, rel=1e-9)
+    # a ratio beyond the float range fails the sweep like any solver error
+    code, out, err = run(capsys, "sweep", TRAPEZOID, "--heights", "1,1e307")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: sweep failed at h=1e+307: SolverError")
+
+
 def test_sweep_json_format(capsys):
     code, out, _ = run(capsys, "sweep", TRAPEZOID, "--heights", "1,2", "--format", "json")
     assert code == 0

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from conecenter import (
     Apex,
     InputError,
     NonpositiveHeight,
+    SolverError,
     boundary_area,
     boundary_areas,
     build_polygon,
@@ -172,6 +174,19 @@ def test_ratio_is_boundary_cubed_over_volume_squared():
         assert volume == pytest.approx(poly.area * apex.height / 3.0, rel=1e-14)
         expected = boundary_area(poly, apex) ** 3 / volume**2
         assert isoperimetric_ratio(poly, apex) == pytest.approx(expected, rel=1e-12)
+
+
+def test_ratio_is_formed_without_overflowing_its_factors():
+    # boundary**3 overflows at h = 1e110, and area * h over a base of area 6e200 at
+    # h = 1e200, while the ratio itself is a finite float
+    big = build_polygon(np.array([(0.0, -1.0), (2.0, -2.0), (2.0, 2.0), (0.0, 1.0)]) * 1e100)
+    for poly, apex in ((TRAPEZOID, Apex((1.0, 0.0), 1e110)), (big, Apex((1e100, 0.0), 1e200))):
+        volume = Fraction(poly.area) * Fraction(apex.height) / 3
+        exact = Fraction(boundary_area(poly, apex)) ** 3 / volume**2
+        assert isoperimetric_ratio(poly, apex) == pytest.approx(float(exact), rel=1e-14)
+    for h in (1e307, 1e-160):
+        with pytest.raises(SolverError, match="beyond the float range"):
+            isoperimetric_ratio(TRAPEZOID, Apex((1.0, 0.0), h))
 
 
 @given(st.floats(0.1, 10.0), st.floats(0.2, 4.0))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -404,7 +405,95 @@ def test_height_sweep_records_per_height_failures():
     assert entries[1].error is not None
     assert entries[1].result is None
     assert entries[2].error is None
+    # the failed entry is skipped: h = 3 starts at the h = 1 center
+    seeded = center_at_height(TRAPEZOID, 3.0, x0=entries[0].result.center)
+    assert np.array_equal(entries[2].result.center, seeded.center)
+    assert entries[2].result.iterations == seeded.iterations
     assert height_sweep(TRAPEZOID, []) == []
+
+
+def test_height_sweep_flags_ratios_beyond_the_float_range():
+    # boundary**3 alone overflows at h = 1e110, where the ratio is ~3.6e111
+    big, too_tall, too_flat = height_sweep(TRAPEZOID, [1e110, 1e307, 1e-160])
+    assert big.error is None and big.result.converged
+    b, volume = Fraction(big.result.boundary_area), Fraction(TRAPEZOID.area) * Fraction(1e110) / 3
+    assert big.ratio == pytest.approx(float(b**3 / volume**2), rel=1e-14)
+    for entry in (too_tall, too_flat):
+        assert entry.result is None and entry.ratio is None
+        assert entry.error.startswith("SolverError") and "float range" in entry.error
+
+
+def _replay_sweep(poly, heights, tol):
+    """Cold solves started where ``height_sweep`` should start them: at the
+    center of the last converged solve, or the centroid before one."""
+    start, replay = None, []
+    for h in heights:
+        try:
+            res = center_at_height(poly, h, tol=tol, x0=start)
+        except InputError:
+            replay.append(None)
+            continue
+        replay.append(res)
+        if res.converged:
+            start = res.center
+    return replay
+
+
+def test_height_sweep_entries_equal_their_warm_started_solves_bitwise():
+    star = build_polygon(helpers.random_star_polygon(np.random.default_rng(101)))
+    cases = [
+        (TRAPEZOID, [4.0, 1.0, -2.0, 0.25, 3.0, 7.0], 1e-10),
+        # h/D = 1e-6 ends unconverged after a few steps on the U; it must not seed h = 3
+        (U_SHAPE, [1e-12 * U_SHAPE.diameter, 1.0, -2.0, 1e-6 * U_SHAPE.diameter, 3.0], 1e-10),
+        (star, list(np.geomspace(0.05, 20.0, 9)), 1e-8),
+    ]
+    for poly, heights, tol in cases:
+        entries = height_sweep(poly, heights, tol=tol)
+        for entry, expected in zip(entries, _replay_sweep(poly, heights, tol), strict=True):
+            if expected is None:
+                assert entry.result is None and entry.error is not None
+                continue
+            res = entry.result
+            assert np.array_equal(res.center, expected.center)
+            assert np.array_equal(res.distances, expected.distances)
+            assert res.boundary_area == expected.boundary_area
+            assert res.gradient_norm == expected.gradient_norm
+            assert (res.iterations, res.converged) == (expected.iterations, expected.converged)
+            assert entry.ratio == isoperimetric_ratio(poly, Apex(res.center, entry.height))
+
+
+def test_height_sweep_seeds_only_from_converged_entries(monkeypatch):
+    starts = []
+    solve = optimize_module.center_at_height
+
+    def recording(poly, height, tol=1e-10, x0=None, max_iter=200):
+        starts.append(None if x0 is None else np.array(x0))
+        return solve(poly, height, tol=tol, x0=x0, max_iter=max_iter)
+
+    monkeypatch.setattr(optimize_module, "center_at_height", recording)
+    d = U_SHAPE.diameter
+    entries = height_sweep(U_SHAPE, [1e-12 * d, 1.0, -2.0, 1e-6 * d, 3.0])
+    flat, first, _, stalled, _ = (e.result for e in entries)
+    assert not flat.converged and first.converged and not stalled.converged
+    assert not np.array_equal(stalled.center, first.center)
+    assert starts[0] is None and starts[1] is None  # the unconverged h/D = 1e-12 seeds nothing
+    for start in starts[2:]:
+        assert np.array_equal(start, first.center)
+
+
+def test_warm_sweep_matches_cold_solves_on_random_bases():
+    rng = np.random.default_rng(97)
+    bases = [helpers.random_triangle(rng) for _ in range(5)]
+    bases += [helpers.random_convex_polygon(rng) for _ in range(5)]
+    bases += [helpers.random_star_polygon(rng) for _ in range(5)]
+    for vertices in bases:
+        poly = build_polygon(vertices)
+        heights = list(np.geomspace(1e-3, 1e3, 13) * (2.0 * poly.area / poly.perimeter))
+        for order in (heights, heights[::-1]):
+            for entry in height_sweep(poly, order):
+                cold = center_at_height(poly, entry.height)
+                assert entry.result.converged == cold.converged
+                assert np.linalg.norm(entry.result.center - cold.center) <= 1e-12 * poly.diameter
 
 
 def test_center_works_on_nonconvex_base():
