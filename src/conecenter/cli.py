@@ -172,7 +172,8 @@ def _cmd_optimal(poly, args):
         "center": result.center,
         "height": result.height,
         "ratio": result.ratio,
-        "inner_evaluations": len(result.inner_results),
+        "iterations": result.iterations,
+        "converged": result.converged,
     }
     if result.height_over_inradius is not None:
         payload["height_over_inradius"] = result.height_over_inradius

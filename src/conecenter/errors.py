@@ -15,7 +15,6 @@ __all__ = [
     "NotConvex",
     "NonpositiveHeight",
     "SolverError",
-    "BracketingFailed",
 ]
 
 
@@ -45,18 +44,6 @@ class NonpositiveHeight(InputError):
 
 class SolverError(RuntimeError):
     """A numerical routine failed to produce a trustworthy result."""
-
-
-class BracketingFailed(SolverError):
-    """The height search found no sign change of the height derivative.
-
-    ``trace`` holds the sampled ``(height, objective)`` pairs, sorted by
-    height, for diagnosis.
-    """
-
-    def __init__(self, message: str, trace=()):
-        super().__init__(message)
-        self.trace = tuple(trace)
 
 
 def _positive_height(height, what="height") -> float:

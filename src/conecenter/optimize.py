@@ -12,10 +12,12 @@ shifted form, value ``sum_i a_i r_i / 2`` and gradient
 minimizer and no cancellation where ``h << |d_i|``.  One damped Newton loop
 minimizes it and stops on the length of the Newton step.
 
-``optimal_cone`` minimizes ``F = boundary**3 / volume**2`` over the height
-as the root of ``h * d(log F)/dh``, which the envelope theorem reads off
-each inner solve.  ``height_sweep`` continues the center along the given
-heights: each solve starts at the last converged center.
+``optimal_cone`` minimizes ``F = B**3 / volume**2`` jointly over x and h.
+``B(x, h)``, a sum of norms of affine maps, is jointly convex, and ``F <= t``
+exactly when ``B <= t**(1/3) * (area * h / 3)**(2/3)``, concave in h: F is
+quasi-convex and a local minimum is global.  One damped Newton loop
+minimizes ``phi(x, u) = 3 log B(x, e**u) - 2u``, ``log F`` up to a constant.
+``height_sweep`` starts each height at the last converged center.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cone import _boundary, _ratio, _slants
-from .errors import BracketingFailed, InputError, SolverError, _positive_height
+from .cone import OPTIMAL_HEIGHT_RATIO, _boundary, _ratio, _slants
+from .errors import InputError, SolverError, _positive_height
 from .geometry import Polygon, centroid, signed_distances, triangle_incenter
 
 __all__ = [
@@ -43,7 +45,8 @@ __all__ = [
 
 ARMIJO_SLOPE = 1e-4
 BACKTRACK_FACTOR = 0.5
-_MAX_EXPANSIONS = 8
+_MAX_JOINT_STEPS = 100
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,10 +65,11 @@ class CenterResult:
 
 @dataclass(frozen=True, eq=False)
 class OptimalCone:
-    """Outcome of the nested height optimization.
+    """Outcome of the joint minimization over projection and height.
 
-    ``height_over_inradius`` is filled for triangle bases only;
-    ``inner_results`` records every fixed-height solve in evaluation order.
+    ``height_over_inradius`` is filled for triangles only; ``inner_results``
+    holds the fixed-height solve that certifies the answer; ``converged``
+    needs it and the joint loop, whose steps ``iterations`` counts.
     """
 
     center: np.ndarray
@@ -73,6 +77,8 @@ class OptimalCone:
     ratio: float
     height_over_inradius: Optional[float]
     inner_results: tuple[CenterResult, ...]
+    converged: bool
+    iterations: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,9 +121,9 @@ def center_at_height(poly: Polygon, height, tol=1e-10, x0=None, max_iter=200) ->
     height : finite positive float
     tol : finite positive float
         Converged when the Newton step, plus how far rounding in the
-        gradient can move it, is at most ``tol * diameter`` long; that step
-        is taken.  Unlike the gradient, which shrinks like h**2, the step
-        needs no scale factor in x or h.
+        gradient can move it, is at most ``tol * diameter`` long, and at
+        most ``min_i s_i / 8``; that step is taken.  Unlike the gradient,
+        which shrinks like h**2, the step needs no scale factor in x or h.
     x0 : array_like, optional
         Finite starting point; defaults to the centroid.
     max_iter : int
@@ -147,7 +153,6 @@ def center_at_height(poly: Polygon, height, tol=1e-10, x0=None, max_iter=200) ->
         raise InputError("starting point must be a finite 2-D point")
     px, py = x.tolist()
     step_tol = tol * poly.diameter
-    eps = sys.float_info.epsilon
     # per-solve constants of the Newton step: a_i / 2, |n_i| and n_i n_i^T flattened
     half = 0.5 * poly.lengths
     abs_normals_t = np.abs(poly.normals.T)
@@ -155,10 +160,9 @@ def center_at_height(poly: Polygon, height, tol=1e-10, x0=None, max_iter=200) ->
 
     # the shifted gradient terms sum_i a_i |s_i - d_i| / s_i are the smaller
     # sum exactly when sum_i a_i max(d_i, 0) / s_i exceeds perimeter / 2
-    d, slant, value, grad, grad_w = _local_model(poly, x, h, False)
-    shifted = float(poly.lengths @ (np.maximum(d, 0.0) / slant)) > 0.5 * poly.perimeter
-    if shifted:
-        d, slant, value, grad, grad_w = _local_model(poly, x, h, True)
+    d = signed_distances(poly, x)
+    shifted = float(poly.lengths @ (np.maximum(d, 0.0) / _slants(d, h))) > 0.5 * poly.perimeter
+    d, slant, value, grad, grad_w = _local_model(poly, x, h, shifted)
     iterations = 0
     converged = False
     while True:
@@ -167,15 +171,17 @@ def center_at_height(poly: Polygon, height, tol=1e-10, x0=None, max_iter=200) ->
         # det under- or overflows for h/diameter beyond ~1e-77 or ~1e154, and
         # is rounding noise when the heaviest edges are parallel and off the axes
         det = hxx * hyy - hxy * hxy
-        if not 4.0 * eps * hxx * hyy < det < math.inf:
+        if not 4.0 * _EPS * hxx * hyy < det < math.inf:
             break
         gx, gy = grad.tolist()
         sx, sy = (hxy * gy - hyy * gx) / det, (hxy * gx - hxx * gy) / det
         # how far rounding in the gradient, up to eps / 2 per term and component, moves it
         ex, ey = (abs_normals_t @ np.abs(grad_w)).tolist()
-        noise = 0.5 * eps * math.hypot(hyy * ex + abs(hxy) * ey, abs(hxy) * ex + hxx * ey) / det
+        noise = 0.5 * _EPS * math.hypot(hyy * ex + abs(hxy) * ey, abs(hxy) * ex + hxx * ey) / det
         length = math.hypot(sx, sy)
-        if length + noise <= step_tol:
+        # the step bounds the distance to the center only where the model holds:
+        # within min_i s_i / 8 each Hessian weight changes by at most (8/7)**3
+        if length + noise <= step_tol and 8.0 * length <= float(slant.min()):
             px, py = px + sx, py + sy
             d, slant, value, grad, grad_w = _local_model(poly, (px, py), h, shifted)
             converged = True
@@ -208,81 +214,87 @@ def center_at_height(poly: Polygon, height, tol=1e-10, x0=None, max_iter=200) ->
     )
 
 
+def _joint_model(poly: Polygon, x, u):
+    """``phi`` at ``(x, e**u)`` with its gradient, inverse Hessian (or None) and
+    gradient rounding bound in ``(x / D, y / D, u)``, where the base's scale drops out."""
+    h = math.exp(u)
+    d, slant, value, grad_x, w = _local_model(poly, x, h, False)
+    b = poly.area + value
+    q, r = h / slant, d / slant
+    scaled_normals = poly.diameter * poly.normals
+    terms = 0.5 * poly.lengths * q * q / b  # d(log B)/du = sum_i terms_i s_i
+    grad = np.append(poly.diameter / b * grad_x, float(terms @ slant))
+    hess = np.empty((3, 3))  # of B, over B
+    hess[:2, :2] = (scaled_normals.T * (terms / slant)) @ scaled_normals
+    hess[:2, 2] = hess[2, :2] = -(scaled_normals.T @ (terms * r))
+    hess[2, 2] = float((terms * slant) @ (2.0 * r * r + q * q))
+    # phi is only quasi-convex; less the rank-one term, the Hessian is the convex 3 B / b's
+    for candidate in (hess - np.outer(grad, grad), hess):
+        lam, vec = np.linalg.eigh(candidate)
+        if lam[0] > 0.0:
+            break
+    inverse = (vec / (3.0 * lam)) @ vec.T if lam[0] > 0.0 else None
+    error = np.append(np.abs(scaled_normals.T) @ np.abs(w) / b, grad[2] + 2.0 / 3.0)
+    grad = 3.0 * grad - np.array([0.0, 0.0, 2.0])
+    return 3.0 * math.log(b) - 2.0 * u, grad, inverse, 1.5 * _EPS * error
+
+
 def optimal_cone(poly: Polygon, tol=1e-10) -> OptimalCone:
-    """Minimize ``F(h) = boundary**3 / volume**2`` over the apex height.
+    """Minimize ``F = boundary**3 / volume**2`` over the apex projection
+    and height by Newton on ``phi`` (module docstring) from the centroid at
+    ``h = 2 * sqrt(2) * 2 * area / perimeter``, exact on tangential bases.
 
-    With the projection re-optimized at every height, the envelope theorem
-    gives the derivative of ``log F`` in ``u = log h`` from one inner solve,
-
-        s(u) = 1.5 * h**2 * sum_i a_i / sqrt(d_i**2 + h**2) / B - 2,
-
-    with ``B`` the boundary area and ``d_i`` the edge distances at the
-    center.  ``s < 0`` as ``h -> 0`` and ``s > 0`` as ``h -> inf``; the root
-    is bracketed in steps of ``log 64`` from ``2 * area / perimeter`` and
-    found by Illinois regula falsi to a bracket at most ``tol`` wide in
-    ``u``.  Each inner solve starts at the previous center; the answer is
-    the last one.
-
-    Raises
-    ------
-    InputError
-        If ``tol`` is not finite and > 0 (from the first inner solve).
-    BracketingFailed
-        If ``s`` shows no sign change in the expanded range; the exception
-        carries the sampled ``(height, F)`` trace.
-    """
-    order: list[CenterResult] = []
-
-    def slope(u: float) -> float:
-        h = math.exp(u)
-        res = center_at_height(poly, h, tol=tol, x0=order[-1].center if order else None)
-        order.append(res)
-        inv_slant = 1.0 / _slants(res.distances, h)
-        return 1.5 * h * h * float(poly.lengths @ inv_slant) / res.boundary_area - 2.0
-
-    # b is always the newest point; a the one before, then the far end of the bracket
-    b = math.log(2.0 * poly.area / poly.perimeter)
-    s_b = slope(b)
-    a, s_a = b, s_b
-    step = math.copysign(math.log(64.0), -s_b)
-    for _ in range(_MAX_EXPANSIONS):
-        if s_a * s_b <= 0.0:
+    The rules are ``center_at_height``'s in three variables, with ``phi``'s
+    Hessian less its ``-3 grad B grad B^T / B**2`` term where it is not
+    positive definite.  Converged means the step's x part is at most ``tol *
+    diameter`` and u part at most ``tol``, each plus how far rounding in the
+    gradient and in the position moves it; ``d(phi)/du`` is the envelope
+    theorem's height derivative ``1.5 * h**2 * sum_i a_i / s_i / B - 2``.
+    A ``center_at_height`` solve at the final height, started at the final
+    projection, certifies the answer; ``converged`` needs both.  Raises
+    ``InputError`` for a bad ``tol`` (from that solve), ``SolverError`` for
+    a ratio beyond the float range."""
+    x, u = centroid(poly), math.log(OPTIMAL_HEIGHT_RATIO * 2.0 * poly.area / poly.perimeter)
+    value, grad, inverse, error = _joint_model(poly, x, u)
+    iterations, converged = 0, False
+    while inverse is not None:
+        step = -(inverse @ grad)
+        move = poly.diameter * step[:2]
+        noise = np.abs(inverse) @ error + _EPS * np.abs(np.append(x / poly.diameter, u))
+        length, length_u = math.hypot(step[0], step[1]), abs(step[2])
+        noise_x, noise_u = math.hypot(noise[0], noise[1]), noise[2]
+        if length + noise_x <= tol and length_u + noise_u <= tol:
+            x, u = x + move, u + step[2]
+            converged = True
             break
-        a, s_a = b, s_b
-        b += step
-        s_b = slope(b)
-    if s_a * s_b > 0.0:
-        raise BracketingFailed(
-            "no sign change of the height derivative was bracketed",
-            trace=sorted((r.height, _ratio(poly, r.boundary_area, r.height)) for r in order),
-        )
+        if iterations >= _MAX_JOINT_STEPS or (length <= noise_x and length_u <= noise_u):
+            break
+        slope = float(grad @ step)
+        t = 1.0
+        while t >= 1e-14:
+            tx, tu = x + t * move, u + t * step[2]
+            trial = _joint_model(poly, tx, tu)
+            # phi's decrease falls below its rounding long before its slope does
+            if trial[0] <= value + ARMIJO_SLOPE * t * slope or trial[1] @ step <= trial[3] @ abs(step):
+                break
+            t *= BACKTRACK_FACTOR
+        if t < 1e-14 or (tu == u and np.array_equal(tx, x)):
+            break
+        x, u = tx, tu
+        value, grad, inverse, error = trial
+        iterations += 1
 
-    for _ in range(500):
-        if s_b == 0.0:
-            break
-        c = b - s_b * (b - a) / (s_b - s_a)
-        if not min(a, b) < c < max(a, b):
-            break
-        s_c = slope(c)
-        if abs(b - a) <= tol:
-            break
-        if (s_c < 0.0) != (s_b < 0.0):
-            a, s_a = b, s_b
-        else:
-            s_a *= 0.5  # Illinois: a is kept a second time
-        b, s_b = c, s_c
-
-    best = order[-1]
-    ratio = _ratio(poly, best.boundary_area, best.height)
-    height_over_inradius = (
-        best.height / triangle_incenter(poly).radius if len(poly.vertices) == 3 else None
-    )
+    certified = center_at_height(poly, math.exp(u), tol=tol, x0=x)
     return OptimalCone(
-        center=best.center,
-        height=best.height,
-        ratio=ratio,
-        height_over_inradius=height_over_inradius,
-        inner_results=tuple(order),
+        center=certified.center,
+        height=certified.height,
+        ratio=_ratio(poly, certified.boundary_area, certified.height),
+        height_over_inradius=(
+            certified.height / triangle_incenter(poly).radius if len(poly.vertices) == 3 else None
+        ),
+        inner_results=(certified,),
+        converged=converged and certified.converged,
+        iterations=iterations,
     )
 
 
