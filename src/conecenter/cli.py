@@ -2,7 +2,9 @@
 
 Results go to standard output (or ``--output``) as JSON with 12
 significant digits; ``sweep`` emits CSV by default.  Exit status is 0 on
-success, 1 on solver failure, and 2 on input errors.
+success; 1 on a solver failure, a failed ``verify`` check, or a ``sweep``
+height whose solve did not converge (its rows are still written); and 2
+on input errors, argparse's usage errors included.
 """
 
 from __future__ import annotations
@@ -43,14 +45,9 @@ def _positive_float(text: str) -> float:
 
 
 def _height_list(text: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    values = [_positive_float(part) for part in text.split(",") if part.strip()]
     if not values:
         raise argparse.ArgumentTypeError("expected at least one height")
-    if not all(v > 0.0 and math.isfinite(v) for v in values):
-        raise argparse.ArgumentTypeError("heights must be finite and > 0")
     return values
 
 
@@ -62,32 +59,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, help_text):
+    # Each handler takes the polygon and the parsed arguments and returns the
+    # output text and the exit status.
+    def add_command(name, handler, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("polygon", help='path to a {"vertices": [[x, y], ...]} JSON file')
         p.add_argument("--output", default=None, help="write the result here instead of stdout")
+        p.set_defaults(handler=handler)
         return p
 
-    add_command("incenter", "incircle center and radius of a triangle")
-    add_command("chebyshev", "deepest point of a convex polygon (max-min edge distance)")
-    add_command("centroid", "area centroid")
+    add_command("incenter", _cmd_incenter, "incircle center and radius of a triangle")
+    add_command(
+        "chebyshev", _cmd_chebyshev, "deepest point of a convex polygon (max-min edge distance)"
+    )
+    add_command("centroid", _cmd_centroid, "area centroid")
 
-    p = add_command("center", "apex projection minimizing the cone boundary area")
+    p = add_command("center", _cmd_center, "apex projection minimizing the cone boundary area")
     p.add_argument("--height", type=_positive_float, required=True, help="cone height")
     p.add_argument("--tol", type=_positive_float, default=1e-10, help="solver tolerance")
 
-    p = add_command("optimal", "apex and height minimizing boundary^3 / volume^2")
+    p = add_command("optimal", _cmd_optimal, "apex and height minimizing boundary^3 / volume^2")
     p.add_argument("--tol", type=_positive_float, default=1e-10, help="solver tolerance")
 
-    p = add_command("sweep", "fixed-height centers over a list of heights")
-    p.add_argument("--heights", type=_height_list, default=None, help="comma-separated heights")
-    p.add_argument("--h-min", type=_positive_float, default=None)
-    p.add_argument("--h-max", type=_positive_float, default=None)
-    p.add_argument("--h-steps", type=int, default=None)
+    p = add_command("sweep", _cmd_sweep, "fixed-height centers over a list of heights")
+    p.add_argument("--heights", type=_height_list, required=True, help="comma-separated heights")
     p.add_argument("--tol", type=_positive_float, default=1e-10, help="solver tolerance")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = add_command("verify", "cross-check the solver against the grid oracle")
+    p = add_command("verify", _cmd_verify, "cross-check the solver against the grid oracle")
     p.add_argument(
         "--heights",
         type=_height_list,
@@ -99,23 +98,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _round_sig(value: float) -> float:
-    return float(f"{float(value):.{SIGNIFICANT_DIGITS}g}")
-
-
 def _jsonable(obj):
+    """Payload values, which are dicts, lists, arrays, floats, ints and bools,
+    as JSON values with floats rounded to ``SIGNIFICANT_DIGITS``."""
     if isinstance(obj, dict):
         return {key: _jsonable(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(val) for val in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(val) for val in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return _round_sig(obj)
+        obj = obj.tolist()
+    if isinstance(obj, list):
+        return [_jsonable(val) for val in obj]
+    if isinstance(obj, float):
+        return float(f"{obj:.{SIGNIFICANT_DIGITS}g}")
     return obj
 
 
@@ -127,13 +120,9 @@ def _emit(text: str, output) -> None:
             handle.write(text)
 
 
-def _json_text(payload) -> str:
-    return json.dumps(_jsonable(payload), indent=2) + "\n"
-
-
 def _json_result(payload):
     """``(text, exit status)`` of a command that succeeded with a JSON payload."""
-    return _json_text(payload), 0
+    return json.dumps(_jsonable(payload), indent=2) + "\n", 0
 
 
 def _circle(circle):
@@ -180,48 +169,37 @@ def _cmd_optimal(poly, args):
     return _json_result(payload)
 
 
-def _sweep_heights(args) -> list[float]:
-    if args.heights is not None:
-        return args.heights
-    if args.h_min is None or args.h_max is None or args.h_steps is None:
-        raise InputError("sweep needs --heights or all of --h-min/--h-max/--h-steps")
-    if args.h_steps < 1:
-        raise InputError(f"--h-steps must be at least 1, got {args.h_steps}")
-    if args.h_max < args.h_min:
-        raise InputError("--h-max must not be below --h-min")
-    return [float(h) for h in np.linspace(args.h_min, args.h_max, args.h_steps)]
-
-
-def _sweep_rows(poly, heights, tol):
-    rows = []
-    for entry in optimize.height_sweep(poly, heights, tol=tol):
+def _cmd_sweep(poly, args):
+    rows, unconverged = [], []
+    for entry in optimize.height_sweep(poly, args.heights, tol=args.tol):
         if entry.error is not None:
             raise SolverError(f"sweep failed at h={entry.height:g}: {entry.error}")
-        residual = cone.equal_angle_residual(poly, entry.result.center, entry.height)
+        if not entry.result.converged:
+            unconverged.append(f"{entry.height:g}")
+        center = entry.result.center
         rows.append(
             (
                 entry.height,
-                entry.result.center[0],
-                entry.result.center[1],
+                center[0],
+                center[1],
                 entry.result.boundary_area,
                 cone.cone_volume(poly, entry.height),
                 entry.ratio,
-                residual,
+                cone.equal_angle_residual(poly, center, entry.height),
             )
         )
-    return rows
-
-
-def _cmd_sweep(poly, args):
-    rows = _sweep_rows(poly, _sweep_heights(args), args.tol)
     if args.format == "json":
-        return _json_result([dict(zip(SWEEP_COLUMNS, row)) for row in rows])
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\r\n")
-    writer.writerow(SWEEP_COLUMNS)
-    for row in rows:
-        writer.writerow([f"{value:.{SIGNIFICANT_DIGITS}g}" for value in row])
-    return buffer.getvalue(), 0
+        text, _ = _json_result([dict(zip(SWEEP_COLUMNS, row)) for row in rows])
+    else:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\r\n")
+        writer.writerow(SWEEP_COLUMNS)
+        writer.writerows([f"{value:.{SIGNIFICANT_DIGITS}g}" for value in row] for row in rows)
+        text = buffer.getvalue()
+    if unconverged:
+        # the rows carry no convergence column, so the status and stderr say it
+        print(f"error: sweep did not converge at h={', '.join(unconverged)}", file=sys.stderr)
+    return text, 1 if unconverged else 0
 
 
 def _cmd_verify(poly, args):
@@ -273,24 +251,11 @@ def _cmd_verify(poly, args):
     return "\n".join(lines) + "\n", 0 if all_ok else 1
 
 
-# Each handler takes the polygon and the parsed arguments and returns the
-# output text and the exit status.
-_COMMANDS = {
-    "incenter": _cmd_incenter,
-    "chebyshev": _cmd_chebyshev,
-    "centroid": _cmd_centroid,
-    "center": _cmd_center,
-    "optimal": _cmd_optimal,
-    "sweep": _cmd_sweep,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         poly = geometry.load_polygon(args.polygon)
-        text, status = _COMMANDS[args.command](poly, args)
+        text, status = args.handler(poly, args)
         _emit(text, args.output)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -45,7 +45,7 @@ __all__ = [
 
 ARMIJO_SLOPE = 1e-4
 BACKTRACK_FACTOR = 0.5
-_MAX_JOINT_STEPS = 100
+_MAX_STEPS = 200  # damped steps of either Newton loop
 _EPS = sys.float_info.epsilon
 
 
@@ -112,7 +112,7 @@ def _local_model(poly: Polygon, x, h, shifted):
     return d, slant, value, poly.normals.T @ w, w
 
 
-def center_at_height(poly: Polygon, height, tol=1e-10, x0=None, max_iter=200) -> CenterResult:
+def center_at_height(poly: Polygon, height, tol=1e-10, x0=None) -> CenterResult:
     """Minimize the cone boundary area over the apex projection at fixed height.
 
     Parameters
@@ -126,9 +126,6 @@ def center_at_height(poly: Polygon, height, tol=1e-10, x0=None, max_iter=200) ->
         which shrinks like h**2, the step needs no scale factor in x or h.
     x0 : array_like, optional
         Finite starting point; defaults to the centroid.
-    max_iter : int
-        Cap on damped steps; on hitting it the last iterate is returned
-        with ``converged=False`` rather than raising.
 
     Notes
     -----
@@ -139,15 +136,20 @@ def center_at_height(poly: Polygon, height, tol=1e-10, x0=None, max_iter=200) ->
     on the Armijo condition or when the slope at the new point along the
     step is not positive, which by convexity means the value has not risen
     even where its differences fall below rounding.  The loop ends
-    unconverged when backtracking gets below ``t = 1e-14``, an accepted
+    unconverged, returning the last iterate, after ``_MAX_STEPS`` (200)
+    damped steps or when backtracking gets below ``t = 1e-14``, an accepted
     step leaves the iterate unchanged, the step is no longer than its
     rounding, or the Hessian determinant is lost: to cancellation on thin
     bases whose long edges are parallel and off the axes, or to under- or
-    overflow for ``h / diameter`` beyond about 1e-77 or 1e154.
+    overflow for ``h / diameter`` beyond about 1e-77 or 1e154.  Raises
+    ``SolverError``, before any step, where ``perimeter * h`` overflows.
     """
     h = _positive_height(height)
     if not 0.0 < tol < math.inf:
         raise InputError(f"tol must be finite and > 0, got {tol}")
+    # sum_i a_i s_i >= perimeter * h: once that overflows, so do the model's sums
+    if not math.isfinite(poly.perimeter * h):
+        raise SolverError(f"boundary area at h={h:g} is too large: perimeter * h overflows")
     x = centroid(poly) if x0 is None else np.asarray(x0, dtype=float)
     if x.shape != (2,) or not all(map(math.isfinite, x.tolist())):
         raise InputError("starting point must be a finite 2-D point")
@@ -186,7 +188,7 @@ def center_at_height(poly: Polygon, height, tol=1e-10, x0=None, max_iter=200) ->
             d, slant, value, grad, grad_w = _local_model(poly, (px, py), h, shifted)
             converged = True
             break
-        if iterations >= max_iter or length <= noise:
+        if iterations >= _MAX_STEPS or length <= noise:
             break
         slope = gx * sx + gy * sy
         t = 1.0
@@ -267,7 +269,7 @@ def optimal_cone(poly: Polygon, tol=1e-10) -> OptimalCone:
             x, u = x + move, u + step[2]
             converged = True
             break
-        if iterations >= _MAX_JOINT_STEPS or (length <= noise_x and length_u <= noise_u):
+        if iterations >= _MAX_STEPS or (length <= noise_x and length_u <= noise_u):
             break
         slope = float(grad @ step)
         t = 1.0

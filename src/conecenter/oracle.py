@@ -112,15 +112,20 @@ def grid_min_boundary(poly: Polygon, height, spec: GridSpec | None = None):
     return points[0], float(values[0])
 
 
-def grid_min_ratio(poly: Polygon, spec_xy: GridSpec | None = None, h_range=(0.05, 10.0), h_samples=33):
+def grid_min_ratio(poly: Polygon, spec_xy: GridSpec | None = None, h_range=None, h_samples=33):
     """Grid minimum of ``boundary**3 / volume**2`` over projection and height.
 
     Each round scans ``h_samples`` heights with ``spec_xy``, as
     :func:`grid_min_boundary` would; the height interval is then
     re-centered on the best sample and shrunk with the same zoom schedule.
-    Returns ``(point, height, value)``; raises ``SolverError`` when the
-    ratio at a sampled height is not a finite float.
+    ``h_range`` defaults to ``(0.05, 10) * 2 * area / perimeter``, around
+    the scale of the optimal height.  Returns ``(point, height, value)``;
+    raises ``SolverError`` when the ratio at a sampled height is not a
+    finite float.
     """
+    if h_range is None:
+        scale = 2.0 * poly.area / poly.perimeter
+        h_range = (0.05 * scale, 10.0 * scale)
     h_lo, h_hi = (float(h) for h in h_range)
     if not 0.0 < h_lo < h_hi < math.inf:
         raise InputError(f"height range must satisfy 0 < lo < hi < inf, got {h_range}")

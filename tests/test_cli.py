@@ -152,6 +152,12 @@ def test_sweep_at_a_height_where_the_boundary_cubed_overflows(capsys):
     assert err.startswith("error: sweep failed at h=1e+307: SolverError")
 
 
+def test_center_exits_1_where_the_boundary_area_overflows(capsys):
+    code, out, err = run(capsys, "center", TRAPEZOID, "--height", "1e308")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: boundary area at h=1e+308") and err.count("\n") == 1
+
+
 def test_sweep_json_format(capsys):
     code, out, _ = run(capsys, "sweep", TRAPEZOID, "--heights", "1,2", "--format", "json")
     assert code == 0
@@ -160,25 +166,25 @@ def test_sweep_json_format(capsys):
     assert set(payload[0]) == set(SWEEP_HEADER.split(","))
 
 
-def test_sweep_height_range_flags(capsys):
-    code, out, _ = run(
-        capsys, "sweep", TRAPEZOID, "--h-min", "1", "--h-max", "4", "--h-steps", "4"
-    )
-    assert code == 0
-    rows = list(csv.DictReader(io.StringIO(out)))
-    assert [float(r["h"]) for r in rows] == [1.0, 2.0, 3.0, 4.0]
-
-
 def test_sweep_requires_heights(capsys):
-    code, _, err = run(capsys, "sweep", TRAPEZOID)
-    assert code == 2
-    assert "error" in err.lower()
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", TRAPEZOID])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
-def test_sweep_rejects_partial_range(capsys):
-    code, _, err = run(capsys, "sweep", TRAPEZOID, "--h-min", "1")
-    assert code == 2
-    assert err != ""
+def test_sweep_exits_1_naming_unconverged_heights(tmp_path, capsys):
+    u_shape = tmp_path / "u.json"
+    u_shape.write_text(
+        json.dumps({"vertices": [[0, 0], [4, 0], [4, 3], [3, 3], [3, 1], [1, 1], [1, 3], [0, 3]]})
+    )
+    code, out, err = run(capsys, "sweep", str(u_shape), "--heights", "5e-11,1")
+    assert code == 1
+    assert [row["h"] for row in csv.DictReader(io.StringIO(out))] == ["5e-11", "1"]
+    assert err == "error: sweep did not converge at h=5e-11\n"  # h = 1 converges
+    for path in sorted(FIXTURES.glob("*.json")):
+        code, _, err = run(capsys, "sweep", str(path), "--heights", "1e-8,0.5,1,3,1e3")
+        assert (code, err) == (0, ""), path
 
 
 def test_verify_command_passes_on_bundled_fixtures(capsys):

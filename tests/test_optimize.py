@@ -14,6 +14,7 @@ from conecenter import (
     CenterResult,
     InputError,
     NonpositiveHeight,
+    SolverError,
     boundary_area,
     boundary_areas,
     boundary_gradient,
@@ -306,8 +307,9 @@ def test_center_rejects_bad_arguments():
             center_at_height(TRAPEZOID, 1.0, x0=x0)
 
 
-def test_iteration_cap_returns_best_iterate_unconverged():
-    res = center_at_height(TRAPEZOID, 1.0, max_iter=1)
+def test_iteration_cap_returns_best_iterate_unconverged(monkeypatch):
+    monkeypatch.setattr(optimize_module, "_MAX_STEPS", 1)
+    res = center_at_height(TRAPEZOID, 1.0)
     assert not res.converged
     assert res.iterations == 1
     assert np.isfinite(res.boundary_area)
@@ -467,6 +469,16 @@ def test_height_sweep_flags_ratios_beyond_the_float_range():
         assert entry.error.startswith("SolverError") and "float range" in entry.error
 
 
+def test_boundary_area_beyond_the_float_range_raises_without_a_warning():
+    # perimeter * h overflows above h ~ 1.7e307 here; the suite turns numpy warnings into errors
+    for h in (2e307, 1e308):
+        with pytest.raises(SolverError, match="boundary area at h=") as exc:
+            center_at_height(TRAPEZOID, h)
+        assert f"h={h:g} " in str(exc.value)
+    [entry] = height_sweep(TRAPEZOID, [1e308])
+    assert entry.result is None and entry.error.startswith("SolverError: boundary area at h=1e+308")
+
+
 def _replay_sweep(poly, heights, tol):
     """Cold solves started where ``height_sweep`` should start them: at the
     center of the last converged solve, or the centroid before one."""
@@ -510,9 +522,9 @@ def test_height_sweep_seeds_only_from_converged_entries(monkeypatch):
     starts = []
     solve = optimize_module.center_at_height
 
-    def recording(poly, height, tol=1e-10, x0=None, max_iter=200):
+    def recording(poly, height, tol=1e-10, x0=None):
         starts.append(None if x0 is None else np.array(x0))
-        return solve(poly, height, tol=tol, x0=x0, max_iter=max_iter)
+        return solve(poly, height, tol=tol, x0=x0)
 
     monkeypatch.setattr(optimize_module, "center_at_height", recording)
     d = U_SHAPE.diameter

@@ -206,6 +206,17 @@ def test_grid_min_ratio_agrees_with_solver_on_trapezoid():
     assert value >= best.ratio - 1e-9 * best.ratio
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 100.0])
+def test_grid_min_ratio_default_height_range_follows_the_base_scale(scale):
+    # a fixed range of absolute heights would pin the answer to one of its ends
+    poly = build_polygon(scale * np.asarray(TRAPEZOID.vertices))
+    point, height, value = grid_min_ratio(poly, light_spec(poly))
+    best = optimal_cone(poly)
+    assert height == pytest.approx(best.height, rel=2e-3)
+    assert np.linalg.norm(point - best.center) <= 1e-3 * scale
+    assert value == pytest.approx(best.ratio, rel=1e-6)
+
+
 def test_grid_value_matches_solver_on_random_convex_bases():
     rng = np.random.default_rng(79)
     for _ in range(3):
