@@ -56,7 +56,7 @@ def _slants(d, h):
 
 def _boundary(poly: Polygon, slant):
     """Base area plus the lateral faces ``a_i * slant_i / 2``."""
-    return poly.area + 0.5 * (slant @ poly.lengths)
+    return poly.area + slant @ poly._half_lengths
 
 
 def boundary_area(poly: Polygon, apex: Apex) -> float:
@@ -68,7 +68,9 @@ def boundary_area(poly: Polygon, apex: Apex) -> float:
 def boundary_areas(poly: Polygon, points, height) -> np.ndarray:
     """Boundary areas at ``(n, 2)`` apex projections and one height, shape ``(n,)``.
 
-    The grid oracle's batch kernel.  It scales ``d`` and ``h`` exactly by
+    The grid oracle's batch kernel.  It works on the distances edge-major,
+    as ``(m, n)`` rows ``n`` long, and sums the edges as ``(a / 2) @ slants``.
+    It scales ``d`` and ``h`` exactly by
     the power of two that brings the largest into [0.5, 1), then forms
     ``sqrt(d*d + h*h)`` in place: no square overflows, and one that
     underflows is below 2**-1000 of the largest.  That costs about a tenth
@@ -80,14 +82,14 @@ def boundary_areas(poly: Polygon, points, height) -> np.ndarray:
     beyond the float range are ``inf``, without a warning.
     """
     h = _positive_height(height)
-    d = signed_distances(poly, np.asarray(points, dtype=float).reshape(-1, 2))
+    d = signed_distances(poly, np.asarray(points, dtype=float).reshape(-1, 2)).T
     _, e = math.frexp(max(h, d.max(initial=0.0), -d.min(initial=0.0)))
     np.ldexp(d, -e, out=d)
     d *= d
     d += math.ldexp(h, -e) ** 2
     np.sqrt(d, out=d)
     with np.errstate(over="ignore"):
-        return poly.area + 0.5 * np.ldexp(d @ poly.lengths, e)
+        return poly.area + np.ldexp(poly._half_lengths @ d, e)
 
 
 def cone_volume(poly: Polygon, height) -> float:

@@ -17,6 +17,7 @@ interior point of a convex polygon every signed distance is positive.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -77,6 +78,12 @@ class Polygon:
         return float(np.sum(self.lengths))
 
     @cached_property
+    def _half_lengths(self) -> np.ndarray:
+        # a_i / 2 of the faces a_i * slant_i / 2: summed halved, the lateral
+        # area overflows only where it is beyond the float range itself
+        return _readonly(0.5 * self.lengths)
+
+    @cached_property
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper) corners of the axis-aligned bounding box."""
         return _readonly(self.vertices.min(axis=0)), _readonly(self.vertices.max(axis=0))
@@ -92,13 +99,17 @@ class Polygon:
 
     @cached_property
     def _centroid(self) -> np.ndarray:
-        # every cold solve starts here; centroid() hands out copies
-        v = self.vertices
+        # every cold solve starts here; centroid() hands out copies.  The sums
+        # are cubic in the coordinates, so they run on the vertices scaled
+        # exactly by a power of two into [0.5, 1), where they cannot overflow.
+        _, e = math.frexp(float(np.abs(self.vertices).max()))
+        v = np.ldexp(self.vertices, -e)
         w = np.roll(v, -1, axis=0)
         cross = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
-        cx = float(((v[:, 0] + w[:, 0]) * cross).sum() / (6.0 * self.area))
-        cy = float(((v[:, 1] + w[:, 1]) * cross).sum() / (6.0 * self.area))
-        return _readonly([cx, cy])
+        six_area = 6.0 * math.ldexp(self.area, -2 * e)
+        cx = float(((v[:, 0] + w[:, 0]) * cross).sum() / six_area)
+        cy = float(((v[:, 1] + w[:, 1]) * cross).sum() / six_area)
+        return _readonly([math.ldexp(cx, e), math.ldexp(cy, e)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,12 +222,20 @@ def signed_distances(poly: Polygon, points) -> np.ndarray:
     """Signed distances from points to every edge line of ``poly``.
 
     One point of shape ``(2,)`` gives shape ``(m,)``; a batch of shape
-    ``(n, 2)`` gives shape ``(n, m)``.  A point's distances are all
-    positive exactly when it lies strictly inside a convex polygon.
+    ``(..., n, 2)`` gives shape ``(..., n, m)``, stored edge-major: the
+    last two axes are swapped from a C-contiguous ``(m, n)`` product, so
+    ``.T`` of an ``(n, m)`` batch hands the batch kernel rows ``n`` long.
+    A point's distances are all positive exactly when it lies strictly
+    inside a convex polygon.
     """
-    d = np.asarray(points, dtype=float) @ poly.normals.T
-    d += poly.offsets
-    return d
+    p = np.asarray(points, dtype=float)
+    if p.ndim == 1:
+        d = p @ poly.normals.T
+        d += poly.offsets
+        return d
+    d = poly.normals @ p.swapaxes(-1, -2)
+    d += poly.offsets[:, None]
+    return d.swapaxes(-1, -2)
 
 
 def triangle_incenter(poly: Polygon) -> Circle:

@@ -156,7 +156,7 @@ def center_at_height(poly: Polygon, height, tol=1e-10, x0=None) -> CenterResult:
     px, py = x.tolist()
     step_tol = tol * poly.diameter
     # per-solve constants of the Newton step: a_i / 2, |n_i| and n_i n_i^T flattened
-    half = 0.5 * poly.lengths
+    half = poly._half_lengths
     abs_normals_t = np.abs(poly.normals.T)
     products = (poly.normals[:, :, None] * poly.normals[:, None, :]).reshape(-1, 4)
 

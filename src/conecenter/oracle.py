@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import boundary_areas, cone_volume
+from .cone import _ratio, boundary_areas
 from .errors import InputError, SolverError, _positive_height
 from .geometry import Polygon
 
@@ -139,12 +139,7 @@ def grid_min_ratio(poly: Polygon, spec_xy: GridSpec | None = None, h_range=None,
         heights = np.linspace(h_lo, h_hi, h_samples).tolist()
         points, boundaries = _refine_in_lockstep(poly, heights, spec_xy)
         for h, point, boundary in zip(heights, points, boundaries.tolist()):
-            try:
-                value = boundary**3 / cone_volume(poly, h) ** 2
-            except (OverflowError, ZeroDivisionError):
-                value = math.inf
-            if not 0.0 < value < math.inf:
-                raise SolverError(f"boundary**3 / volume**2 leaves the float range at height {h!r}")
+            value = _ratio(poly, boundary, h)
             if value < best[2]:
                 best = (point, h, value)
         extent = (h_hi - h_lo) / spec_xy.refine_zoom

@@ -115,6 +115,40 @@ def test_boundary_areas_matches_scalar_evaluation():
             assert v == pytest.approx(boundary_area(TRAPEZOID, Apex(p, h)), rel=BATCH_REL_TOL)
 
 
+def test_boundary_areas_matches_scalar_evaluation_on_translated_bases():
+    # Off the origin, batch and single-point distances round apart by up to
+    # eps * (|n_i|.|p| + |c_i|) each (test_signed_distances_batch_rows_match_single_points),
+    # which adds up to a_i / 2 times that to the area on top of BATCH_REL_TOL.
+    # The worst seen is about half of this bound.
+    rng = np.random.default_rng(47)
+    eps = np.finfo(float).eps
+    for _ in range(20):
+        m = int(rng.integers(3, 13))
+        # star-shaped about the shift with every angular gap below pi, so simple
+        angles = (np.arange(m) + rng.uniform(0.0, 0.4, m)) * (2.0 * np.pi / m)
+        radii = rng.uniform(1.0, 5.0, m)
+        shift = rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.uniform(0.0, 3.0)
+        star = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+        poly = build_polygon(star + shift)
+        pts = shift + rng.uniform(-1.5, 1.5, size=(30, 2)) * poly.diameter
+        for h in poly.diameter * 10.0 ** rng.uniform(-6.0, 6.0, 3):
+            vec = boundary_areas(poly, pts, h)
+            for p, v in zip(pts, vec):
+                scalar = boundary_area(poly, Apex(p, h))
+                distance_rounding = eps * (np.abs(poly.normals) @ np.abs(p) + np.abs(poly.offsets))
+                assert abs(v - scalar) <= BATCH_REL_TOL * scalar + poly.lengths @ distance_rounding
+
+
+def test_boundary_area_near_the_top_of_the_float_range():
+    # sum_i a_i s_i is about 2.1e308 here, beyond the float range; its half is not
+    apex = Apex((1.0, 0.0), 2e307)
+    area = boundary_area(TRAPEZOID, apex)
+    assert area == pytest.approx(TRAPEZOID.perimeter * 1e307, rel=1e-15)
+    assert boundary_areas(TRAPEZOID, [apex.projection], apex.height)[0] == pytest.approx(
+        area, rel=BATCH_REL_TOL
+    )
+
+
 @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
 @pytest.mark.parametrize("h", [5e-324, 1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300])
 def test_boundary_areas_stays_accurate_at_extreme_scales(scale, h):
@@ -184,7 +218,7 @@ def test_ratio_is_formed_without_overflowing_its_factors():
         volume = Fraction(poly.area) * Fraction(apex.height) / 3
         exact = Fraction(boundary_area(poly, apex)) ** 3 / volume**2
         assert isoperimetric_ratio(poly, apex) == pytest.approx(float(exact), rel=1e-14)
-    for h in (1e307, 1e-160):
+    for h in (1e307, 2e307, 1e-160):
         with pytest.raises(SolverError, match="beyond the float range"):
             isoperimetric_ratio(TRAPEZOID, Apex((1.0, 0.0), h))
 

@@ -108,6 +108,9 @@ def test_signed_distances_trapezoid_interior_point():
     assert batch.shape == (2, 4)
     for row in batch:
         assert row == pytest.approx(expected, rel=1e-14)
+    stacked = signed_distances(poly, np.tile([(1.0, 0.0), (1.0, 0.0)], (3, 1, 1)))
+    assert stacked.shape == (3, 2, 4)
+    assert np.array_equal(stacked, np.broadcast_to(batch, (3, 2, 4)))
 
 
 def test_signed_distances_batch_rows_match_single_points():
@@ -122,6 +125,7 @@ def test_signed_distances_batch_rows_match_single_points():
             pts = scale * rng.standard_normal((50, 2))
             batch = signed_distances(poly, pts)
             assert batch.shape == (50, len(poly.vertices))
+            assert batch.T.flags.c_contiguous  # boundary_areas runs along these rows
             for k, p in enumerate(pts):
                 single = signed_distances(poly, p)
                 bound = 2.0 * eps * (np.abs(poly.normals) @ np.abs(p) + np.abs(poly.offsets))

@@ -413,6 +413,19 @@ def test_optimal_cone_is_the_same_at_extreme_scales():
         assert best.ratio == pytest.approx(reference.ratio, rel=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-150, 1e103, 1e150])
+def test_solves_start_from_a_finite_centroid_at_extreme_scales(scale):
+    # the centroid's sums are cubic in the coordinates; unscaled, they overflow from about 1e103
+    poly = build_polygon(TRAPEZOID.vertices * scale)
+    res = center_at_height(poly, scale)
+    assert res.converged
+    assert res.center / scale == pytest.approx([0.916906782, 0.0], abs=1e-9)
+    best = optimal_cone(poly)
+    assert best.converged
+    assert best.center / scale == pytest.approx([0.904050686, 0.0], abs=1e-9)
+    assert best.height / scale == pytest.approx(3.25028884, abs=1e-8)
+
+
 def test_optimal_ratio_consistency_and_local_minimality():
     best = optimal_cone(TRAPEZOID)
     direct = isoperimetric_ratio(TRAPEZOID, Apex(best.center, best.height))

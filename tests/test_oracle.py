@@ -149,8 +149,10 @@ def test_grid_min_boundary_names_a_height_where_no_value_is_finite():
 @pytest.mark.parametrize(
     "h_range, named",
     [
-        pytest.param((1e300, 1e306), r"height 1e\+300", id="boundary-cubed-overflows"),
-        pytest.param((1e-200, 1e-190), r"height 1e-200", id="volume-squared-underflows"),
+        # at h = 1e307 the boundary area (about 5.2e307) is finite, its cube is
+        # not, and the ratio itself (about 3.6e308) leaves the float range
+        pytest.param((1e307, 2e307), r"h=1e\+307", id="boundary-cubed-overflows"),
+        pytest.param((1e-200, 1e-190), r"h=1e-200", id="volume-squared-underflows"),
     ],
 )
 def test_grid_min_ratio_names_a_height_where_the_ratio_leaves_the_float_range(h_range, named):
@@ -206,7 +208,7 @@ def test_grid_min_ratio_agrees_with_solver_on_trapezoid():
     assert value >= best.ratio - 1e-9 * best.ratio
 
 
-@pytest.mark.parametrize("scale", [1e-3, 1.0, 100.0])
+@pytest.mark.parametrize("scale", [1e-60, 1e-3, 1.0, 100.0, 1e60])
 def test_grid_min_ratio_default_height_range_follows_the_base_scale(scale):
     # a fixed range of absolute heights would pin the answer to one of its ends
     poly = build_polygon(scale * np.asarray(TRAPEZOID.vertices))
