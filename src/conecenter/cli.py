@@ -76,14 +76,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("center", _cmd_center, "apex projection minimizing the cone boundary area")
     p.add_argument("--height", type=_positive_float, required=True, help="cone height")
-    p.add_argument("--tol", type=_positive_float, default=1e-10, help="solver tolerance")
 
-    p = add_command("optimal", _cmd_optimal, "apex and height minimizing boundary^3 / volume^2")
-    p.add_argument("--tol", type=_positive_float, default=1e-10, help="solver tolerance")
+    add_command("optimal", _cmd_optimal, "apex and height minimizing boundary^3 / volume^2")
 
     p = add_command("sweep", _cmd_sweep, "fixed-height centers over a list of heights")
     p.add_argument("--heights", type=_height_list, required=True, help="comma-separated heights")
-    p.add_argument("--tol", type=_positive_float, default=1e-10, help="solver tolerance")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = add_command("verify", _cmd_verify, "cross-check the solver against the grid oracle")
@@ -93,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[0.3, 1.0, 3.0],
         help="comma-separated heights (default 0.3,1,3)",
     )
-    p.add_argument("--tol", type=_positive_float, default=1e-10, help="solver tolerance")
 
     return parser
 
@@ -142,7 +138,7 @@ def _cmd_centroid(poly, args):
 
 
 def _cmd_center(poly, args):
-    result = optimize.center_at_height(poly, args.height, tol=args.tol)
+    result = optimize.center_at_height(poly, args.height)
     return _json_result({
         "center": result.center,
         "height": result.height,
@@ -156,7 +152,7 @@ def _cmd_center(poly, args):
 
 
 def _cmd_optimal(poly, args):
-    result = optimize.optimal_cone(poly, tol=args.tol)
+    result = optimize.optimal_cone(poly)
     payload = {
         "center": result.center,
         "height": result.height,
@@ -171,7 +167,7 @@ def _cmd_optimal(poly, args):
 
 def _cmd_sweep(poly, args):
     rows, unconverged = [], []
-    for entry in optimize.height_sweep(poly, args.heights, tol=args.tol):
+    for entry in optimize.height_sweep(poly, args.heights):
         if entry.error is not None:
             raise SolverError(f"sweep failed at h={entry.height:g}: {entry.error}")
         if not entry.result.converged:
@@ -216,7 +212,7 @@ def _cmd_verify(poly, args):
         lines.append(f"{'PASS' if ok else 'FAIL'} {label}: {detail}")
 
     for h in args.heights:
-        solved = optimize.center_at_height(poly, h, tol=args.tol)
+        solved = optimize.center_at_height(poly, h)
         point, value = oracle.grid_min_boundary(poly, h, spec)
         rel = abs(value - solved.boundary_area) / solved.boundary_area
         check(

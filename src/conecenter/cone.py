@@ -82,7 +82,10 @@ def boundary_areas(poly: Polygon, points, height) -> np.ndarray:
     beyond the float range are ``inf``, without a warning.
     """
     h = _positive_height(height)
-    d = signed_distances(poly, np.asarray(points, dtype=float).reshape(-1, 2)).T
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise InputError(f"points must have shape (n, 2), got {points.shape}")
+    d = signed_distances(poly, points).T
     _, e = math.frexp(max(h, d.max(initial=0.0), -d.min(initial=0.0)))
     np.ldexp(d, -e, out=d)
     d *= d

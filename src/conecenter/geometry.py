@@ -23,14 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DegenerateInput,
-    InputError,
-    NotATriangle,
-    NotConvex,
-    SelfIntersecting,
-    SolverError,
-)
+from .errors import InputError, SolverError
 
 __all__ = [
     "Polygon",
@@ -126,7 +119,7 @@ def _shoelace(vertices: np.ndarray) -> float:
 
 
 def _check_simple(verts: np.ndarray, edges: np.ndarray, diff: np.ndarray) -> None:
-    """Raise SelfIntersecting unless the closed boundary is simple.
+    """Raise InputError unless the closed boundary is simple.
 
     ``edges[j]`` is ``verts[j + 1] - verts[j]`` and ``diff[i, j]`` is
     ``verts[i] - verts[j]``.  Two edges touch when each crosses the other's
@@ -152,8 +145,8 @@ def _check_simple(verts: np.ndarray, edges: np.ndarray, diff: np.ndarray) -> Non
     if touch.any():
         i, j = np.argwhere(touch)[0]
         if j - i in (1, m - 1):
-            raise SelfIntersecting(f"edge {i} folds back onto edge {j} at a shared vertex")
-        raise SelfIntersecting(f"edges {i} and {j} intersect")
+            raise InputError(f"edge {i} folds back onto edge {j} at a shared vertex")
+        raise InputError(f"edges {i} and {j} intersect")
 
 
 def build_polygon(points) -> Polygon:
@@ -166,32 +159,31 @@ def build_polygon(points) -> Polygon:
 
     Raises
     ------
-    DegenerateInput
+    InputError
         Fewer than three points, non-finite coordinates, coordinates too
         large for the diameter or the shoelace area to be finite,
-        duplicate consecutive vertices, or area at most
-        ``1e-12 * diameter**2``.
-    SelfIntersecting
-        The closed boundary is not simple.
+        duplicate consecutive vertices, area at most
+        ``1e-12 * diameter**2``, or a closed boundary that is not simple
+        (the message names the first pair of edges that touch).
     """
     try:
         verts = np.asarray(points, dtype=float)
     except OverflowError as exc:
-        raise DegenerateInput(f"vertex coordinates are too large for a float: {exc}") from exc
+        raise InputError(f"vertex coordinates are too large for a float: {exc}") from exc
     if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
-        raise DegenerateInput("a polygon needs at least three 2-D points")
+        raise InputError("a polygon needs at least three 2-D points")
     if not np.all(np.isfinite(verts)):
-        raise DegenerateInput("vertex coordinates must be finite")
+        raise InputError("vertex coordinates must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
         diff = verts[:, None, :] - verts[None, :, :]
         diameter = float(np.sqrt((diff**2).sum(axis=2)).max())
         signed = _shoelace(verts)
     if not np.isfinite(diameter):
-        raise DegenerateInput("vertex coordinates are too large: the diameter overflows")
+        raise InputError("vertex coordinates are too large: the diameter overflows")
     if diameter == 0.0:
-        raise DegenerateInput("all vertices coincide")
+        raise InputError("all vertices coincide")
     if not np.isfinite(signed):
-        raise DegenerateInput("vertex coordinates are too large: the area overflows")
+        raise InputError("vertex coordinates are too large: the area overflows")
     if signed < 0:
         verts = verts[::-1].copy()
         diff = diff[::-1, ::-1]
@@ -199,9 +191,9 @@ def build_polygon(points) -> Polygon:
     edge_vec = np.roll(verts, -1, axis=0) - verts
     lengths = np.linalg.norm(edge_vec, axis=1)
     if np.any(lengths <= 1e-12 * diameter):
-        raise DegenerateInput("duplicate consecutive vertices")
+        raise InputError("duplicate consecutive vertices")
     if signed <= AREA_EPS * diameter**2:
-        raise DegenerateInput("polygon area is numerically zero")
+        raise InputError("polygon area is numerically zero")
     _check_simple(verts, edge_vec, diff)
 
     tangents = edge_vec / lengths[:, None]
@@ -245,7 +237,7 @@ def triangle_incenter(poly: Polygon) -> Circle:
     taken opposite its vertex; the radius is ``2 * area / perimeter``.
     """
     if len(poly.vertices) != 3:
-        raise NotATriangle(f"incenter needs a triangle, got {len(poly.vertices)} vertices")
+        raise InputError(f"incenter needs a triangle, got {len(poly.vertices)} vertices")
     a_v, b_v, c_v = poly.vertices
     a = float(np.linalg.norm(c_v - b_v))
     b = float(np.linalg.norm(a_v - c_v))
@@ -262,7 +254,7 @@ def chebyshev_center(poly: Polygon) -> Circle:
     on a segment, any optimal point may be returned.
     """
     if not poly.is_convex:
-        raise NotConvex("the Chebyshev center is only computed for convex polygons")
+        raise InputError("the Chebyshev center is only computed for convex polygons")
     # imported here: loading it costs most of a CLI process's start-up
     # and only this LP needs it
     from scipy.optimize import linprog

@@ -219,7 +219,13 @@ def center_at_height(poly: Polygon, height, tol=1e-10, x0=None) -> CenterResult:
 def _joint_model(poly: Polygon, x, u):
     """``phi`` at ``(x, e**u)`` with its gradient, inverse Hessian (or None) and
     gradient rounding bound in ``(x / D, y / D, u)``, where the base's scale drops out."""
-    h = math.exp(u)
+    try:
+        h = math.exp(u)
+    except OverflowError:
+        h = math.inf
+    # sum_i a_i s_i >= perimeter * h: once that overflows, so do the model's sums
+    if not math.isfinite(poly.perimeter * h):
+        raise SolverError(f"boundary area at u={u:g} is too large: perimeter * e**u overflows")
     d, slant, value, grad_x, w = _local_model(poly, x, h, False)
     b = poly.area + value
     q, r = h / slant, d / slant
@@ -255,7 +261,7 @@ def optimal_cone(poly: Polygon, tol=1e-10) -> OptimalCone:
     A ``center_at_height`` solve at the final height, started at the final
     projection, certifies the answer; ``converged`` needs both.  Raises
     ``InputError`` for a bad ``tol`` (from that solve), ``SolverError`` for
-    a ratio beyond the float range."""
+    a ratio or a ``perimeter * h``, trial steps too, beyond the float range."""
     x, u = centroid(poly), math.log(OPTIMAL_HEIGHT_RATIO * 2.0 * poly.area / poly.perimeter)
     value, grad, inverse, error = _joint_model(poly, x, u)
     iterations, converged = 0, False

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,13 +34,14 @@ class GridSpec:
     ``box`` is ``(lower, upper)`` corner pairs of an axis-aligned
     rectangle.  Every round scans ``resolution`` points per axis; after a
     round the box is re-centered on the best point seen and shrunk by
-    ``refine_zoom``, always clipped into the declared box.
+    ``refine_zoom``, always clipped into the declared box.  ``refine_zoom``
+    is a class constant, 5, not a constructor argument.
     """
 
     box: tuple[tuple[float, float], tuple[float, float]]
     resolution: int = 201
     refine_rounds: int = 6
-    refine_zoom: float = 5.0
+    refine_zoom: ClassVar[float] = 5.0
 
     def __post_init__(self):
         lower, upper = (np.asarray(side, dtype=float) for side in self.box)
@@ -51,8 +53,6 @@ class GridSpec:
             raise InputError(f"grid resolution must be an integer >= 3, got {self.resolution!r}")
         if not isinstance(self.refine_rounds, numbers.Integral) or self.refine_rounds < 0:
             raise InputError(f"refine_rounds must be an integer >= 0, got {self.refine_rounds!r}")
-        if not 1.0 < self.refine_zoom < math.inf:
-            raise InputError(f"refine_zoom must be finite and exceed 1, got {self.refine_zoom}")
         object.__setattr__(
             self, "box", ((float(lower[0]), float(lower[1])), (float(upper[0]), float(upper[1])))
         )

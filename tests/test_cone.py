@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,6 @@ from conecenter import (
     OPTIMAL_HEIGHT_RATIO,
     Apex,
     InputError,
-    NonpositiveHeight,
     SolverError,
     boundary_area,
     boundary_areas,
@@ -32,11 +32,11 @@ TRAPEZOID = build_polygon([(0.0, -1.0), (2.0, -2.0), (2.0, 2.0), (0.0, 1.0)])
 
 def test_apex_validation():
     Apex(projection=(0.0, 0.0), height=1.0)
-    with pytest.raises(NonpositiveHeight):
+    with pytest.raises(InputError, match="^apex height must be finite and > 0"):
         Apex(projection=(0.0, 0.0), height=0.0)
-    with pytest.raises(NonpositiveHeight):
+    with pytest.raises(InputError, match="^apex height must be finite and > 0"):
         Apex(projection=(0.0, 0.0), height=-1.0)
-    with pytest.raises(NonpositiveHeight):
+    with pytest.raises(InputError, match="^apex height must be finite and > 0"):
         Apex(projection=(0.0, 0.0), height=math.inf)
     with pytest.raises(InputError):
         Apex(projection=(0.0, float("nan")), height=1.0)
@@ -80,11 +80,11 @@ def test_lateral_area_tends_to_base_area_for_flat_cones():
 def test_cone_volume():
     assert cone_volume(TRAPEZOID, 3.25) == pytest.approx(6.5, rel=1e-14)
     assert cone_volume(RIGHT_TRIANGLE, 3.0) == pytest.approx(0.5, rel=1e-14)
-    with pytest.raises(NonpositiveHeight):
+    with pytest.raises(InputError, match="^height must be finite and > 0"):
         cone_volume(TRAPEZOID, 0.0)
-    with pytest.raises(NonpositiveHeight):
+    with pytest.raises(InputError, match="^height must be finite and > 0"):
         cone_volume(TRAPEZOID, -2.0)
-    with pytest.raises(NonpositiveHeight):
+    with pytest.raises(InputError, match="^height must be finite and > 0"):
         cone_volume(TRAPEZOID, math.inf)
 
 
@@ -113,6 +113,13 @@ def test_boundary_areas_matches_scalar_evaluation():
         assert vec.shape == (40,)
         for p, v in zip(pts, vec):
             assert v == pytest.approx(boundary_area(TRAPEZOID, Apex(p, h)), rel=BATCH_REL_TOL)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (6,), (2, 2, 2)])
+def test_boundary_areas_rejects_a_batch_that_is_not_n_points(shape):
+    message = re.escape(f"points must have shape (n, 2), got {shape}")
+    with pytest.raises(InputError, match=f"^{message}$"):
+        boundary_areas(TRAPEZOID, np.ones(shape), 1.0)
 
 
 def test_boundary_areas_matches_scalar_evaluation_on_translated_bases():
@@ -253,13 +260,13 @@ def test_phi_lower_bound(t):
 
 
 def test_phi_rejects_nonpositive():
-    with pytest.raises(NonpositiveHeight):
+    with pytest.raises(InputError, match="^phi argument must be finite and > 0"):
         phi(0.0)
-    with pytest.raises(NonpositiveHeight):
+    with pytest.raises(InputError, match="^phi argument must be finite and > 0"):
         phi(-1.0)
-    with pytest.raises(NonpositiveHeight):
+    with pytest.raises(InputError, match="^phi argument must be finite and > 0"):
         phi(math.inf)
-    with pytest.raises(NonpositiveHeight):
+    with pytest.raises(InputError, match="^phi argument must be finite and > 0"):
         phi(math.nan)
 
 

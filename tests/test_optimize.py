@@ -13,7 +13,6 @@ from conecenter import (
     Apex,
     CenterResult,
     InputError,
-    NonpositiveHeight,
     SolverError,
     boundary_area,
     boundary_areas,
@@ -288,11 +287,11 @@ def test_center_respects_starting_point_and_still_converges():
 
 
 def test_center_rejects_bad_arguments():
-    with pytest.raises(NonpositiveHeight):
+    with pytest.raises(InputError, match="^height must be finite and > 0"):
         center_at_height(TRAPEZOID, 0.0)
-    with pytest.raises(NonpositiveHeight):
+    with pytest.raises(InputError, match="^height must be finite and > 0"):
         center_at_height(TRAPEZOID, -1.0)
-    with pytest.raises(NonpositiveHeight):
+    with pytest.raises(InputError, match="^height must be finite and > 0"):
         center_at_height(TRAPEZOID, math.inf)
     for tol in (0.0, math.inf, math.nan):
         with pytest.raises(InputError, match="tol must be finite and > 0"):
@@ -461,7 +460,7 @@ def test_height_sweep_aligns_with_requested_heights():
 def test_height_sweep_records_per_height_failures():
     entries = height_sweep(TRAPEZOID, [1.0, -2.0, 3.0])
     assert entries[0].error is None
-    assert entries[1].error is not None
+    assert entries[1].error == "InputError: height must be finite and > 0, got -2.0"
     assert entries[1].result is None
     assert entries[2].error is None
     # the failed entry is skipped: h = 3 starts at the h = 1 center
@@ -469,6 +468,15 @@ def test_height_sweep_records_per_height_failures():
     assert np.array_equal(entries[2].result.center, seeded.center)
     assert entries[2].result.iterations == seeded.iterations
     assert height_sweep(TRAPEZOID, []) == []
+
+
+def test_height_sweep_records_heights_that_are_not_numbers():
+    text, missing, numeric = height_sweep(TRAPEZOID, ["abc", None, 1.0])
+    for entry in (text, missing):
+        assert math.isnan(entry.height)
+        assert entry.result is None and entry.ratio is None
+        assert isinstance(entry.error, str) and entry.error
+    assert numeric.error is None and numeric.result.converged
 
 
 def test_height_sweep_flags_ratios_beyond_the_float_range():
@@ -490,6 +498,13 @@ def test_boundary_area_beyond_the_float_range_raises_without_a_warning():
         assert f"h={h:g} " in str(exc.value)
     [entry] = height_sweep(TRAPEZOID, [1e308])
     assert entry.result is None and entry.error.startswith("SolverError: boundary area at h=1e+308")
+
+
+@pytest.mark.parametrize("u", [709.0, 710.0])
+def test_joint_model_names_a_log_height_where_perimeter_times_height_overflows(u):
+    # e**709 is a float but perimeter * e**709 is not; math.exp(710) itself overflows
+    with pytest.raises(SolverError, match=f"^boundary area at u={u:g} is too large"):
+        optimize_module._joint_model(TRAPEZOID, centroid(TRAPEZOID), u)
 
 
 def _replay_sweep(poly, heights, tol):

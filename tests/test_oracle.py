@@ -7,7 +7,6 @@ import helpers
 from conecenter import (
     GridSpec,
     InputError,
-    NonpositiveHeight,
     SolverError,
     build_polygon,
     center_at_height,
@@ -30,7 +29,6 @@ def light_spec(poly, resolution=61, refine_rounds=5):
         box=default_grid_spec(poly).box,
         resolution=resolution,
         refine_rounds=refine_rounds,
-        refine_zoom=5.0,
     )
 
 
@@ -38,25 +36,24 @@ def light_spec(poly, resolution=61, refine_rounds=5):
     "kwargs",
     [
         dict(box=((0.0, 0.0), (1.0, 1.0)), resolution=2),
-        dict(box=((0.0, 0.0), (1.0, 1.0)), refine_zoom=1.0),
-        dict(box=((0.0, 0.0), (1.0, 1.0)), refine_zoom=0.5),
+        dict(box=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))),
+        dict(box=((0.0, 0.0), (1.0, math.inf))),
         dict(box=((0.0, 0.0), (1.0, 1.0)), refine_rounds=-1),
         dict(box=((1.0, 1.0), (0.0, 0.0))),
         dict(box=((0.0, 0.0), (0.0, 1.0))),
         dict(box=((0.0, float("nan")), (1.0, 1.0))),
         dict(box=((0.0, 0.0), (1.0, 1.0)), resolution=11.0),
         dict(box=((0.0, 0.0), (1.0, 1.0)), refine_rounds=2.5),
-        dict(box=((0.0, 0.0), (1.0, 1.0)), refine_zoom=math.inf),
     ],
 )
 def test_grid_spec_rejects_bad_parameters(kwargs):
-    defaults = dict(resolution=11, refine_rounds=2, refine_zoom=5.0)
+    defaults = dict(resolution=11, refine_rounds=2)
     with pytest.raises(InputError):
         GridSpec(**{**defaults, **kwargs})
 
 
 def test_grid_spec_final_resolution():
-    spec = GridSpec(box=((0.0, 0.0), (3.0, 1.0)), resolution=41, refine_rounds=3, refine_zoom=5.0)
+    spec = GridSpec(box=((0.0, 0.0), (3.0, 1.0)), resolution=41, refine_rounds=3)
     assert spec.final_resolution() == pytest.approx(3.0 / (40 * 5**3), rel=1e-12)
 
 
@@ -70,9 +67,9 @@ def test_default_grid_spec_pads_bounding_box_by_a_diameter():
 
 
 def test_grid_min_boundary_rejects_bad_height():
-    with pytest.raises(NonpositiveHeight):
+    with pytest.raises(InputError, match="^height must be finite and > 0"):
         grid_min_boundary(RIGHT_TRIANGLE, 0.0)
-    with pytest.raises(NonpositiveHeight):
+    with pytest.raises(InputError, match="^height must be finite and > 0"):
         grid_min_boundary(RIGHT_TRIANGLE, math.inf)
 
 
@@ -95,7 +92,7 @@ def test_more_refinement_rounds_never_worsen_the_minimum():
     box = default_grid_spec(TRAPEZOID).box
     values = []
     for rounds in range(6):
-        spec = GridSpec(box=box, resolution=41, refine_rounds=rounds, refine_zoom=5.0)
+        spec = GridSpec(box=box, resolution=41, refine_rounds=rounds)
         _, value = grid_min_boundary(TRAPEZOID, 2.0, spec)
         values.append(value)
     assert np.all(np.diff(values) <= 1e-12)
@@ -103,7 +100,7 @@ def test_more_refinement_rounds_never_worsen_the_minimum():
 
 def test_grid_scan_never_leaves_the_declared_box(monkeypatch):
     box = ((1.5, -0.25), (1.9, 0.25))
-    spec = GridSpec(box=box, resolution=21, refine_rounds=4, refine_zoom=5.0)
+    spec = GridSpec(box=box, resolution=21, refine_rounds=4)
     seen = []
     true_eval = oracle_module.boundary_areas
 
@@ -165,7 +162,7 @@ def test_flat_objective_ties_break_to_lower_left_corner(monkeypatch):
     monkeypatch.setattr(
         oracle_module, "boundary_areas", lambda poly, points, h: np.zeros(len(points))
     )
-    spec = GridSpec(box=((-2.0, 3.0), (4.0, 7.0)), resolution=11, refine_rounds=3, refine_zoom=5.0)
+    spec = GridSpec(box=((-2.0, 3.0), (4.0, 7.0)), resolution=11, refine_rounds=3)
     point, value = grid_min_boundary(TRAPEZOID, 1.0, spec)
     assert point[0] == -2.0
     assert point[1] == 3.0
