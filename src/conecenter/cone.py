@@ -66,14 +66,16 @@ def boundary_area(poly: Polygon, apex: Apex) -> float:
 
 
 def boundary_areas(poly: Polygon, points, height) -> np.ndarray:
-    """Boundary areas at ``(n, 2)`` apex projections and one height, shape ``(n,)``.
+    """Boundary areas at ``(n, 2)`` apex projections and one height, shape
+    ``(n,)``, or at ``(k, n, 2)`` projections and ``k`` heights, shape ``(k, n)``.
 
     The grid oracle's batch kernel.  It works on the distances edge-major,
     as ``(m, n)`` rows ``n`` long, and sums the edges as ``(a / 2) @ slants``.
-    It scales ``d`` and ``h`` exactly by
-    the power of two that brings the largest into [0.5, 1), then forms
-    ``sqrt(d*d + h*h)`` in place: no square overflows, and one that
-    underflows is below 2**-1000 of the largest.  That costs about a tenth
+    Slab ``k``'s ``d`` and ``h`` are scaled exactly by ``2**-e_k``, ``e_k`` two
+    above the exponent of ``max(h_k, max|p_k|, max_i |c_i|)``, which bounds
+    both since ``|d_i| <= sqrt(2) * max|p| + |c_i|``; then ``sqrt(d*d + h*h)``
+    is formed in place: no square overflows, and one that underflows is below
+    2**-1000 of the bound's square.  That costs about a tenth
     of ``np.hypot``, which :func:`boundary_area` and the solver keep (the
     solver's rounding allowance is derived for it, and at m <= 12 edges
     their cost is call overhead).  So a value may differ from :func:`boundary_area` by
@@ -81,18 +83,21 @@ def boundary_areas(poly: Polygon, points, height) -> np.ndarray:
     distances and the sum over edges may round in another order.  Values
     beyond the float range are ``inf``, without a warning.
     """
-    h = _positive_height(height)
     points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise InputError(f"points must have shape (n, 2), got {points.shape}")
-    d = signed_distances(poly, points).T
-    _, e = math.frexp(max(h, d.max(initial=0.0), -d.min(initial=0.0)))
-    np.ldexp(d, -e, out=d)
+    single = np.ndim(height) == 0
+    h = np.array([_positive_height(x) for x in ([height] if single else height)])
+    p = points[None] if single else points
+    if p.ndim != 3 or p.shape[0] != len(h) or p.shape[2] != 2:
+        expected = "(n, 2)" if single else f"({len(h)}, n, 2), one slab per height"
+        raise InputError(f"points must have shape {expected}, got {points.shape}")
+    e = np.frexp(np.maximum(np.abs(p).max(axis=(1, 2), initial=poly._max_abs_offset), h))[1] + 2
+    d = signed_distances(poly, p).swapaxes(1, 2)
+    d *= np.ldexp(1.0, -e)[:, None, None]
     d *= d
-    d += math.ldexp(h, -e) ** 2
+    d += (np.ldexp(h, -e) ** 2)[:, None, None]
     np.sqrt(d, out=d)
     with np.errstate(over="ignore"):
-        return poly.area + np.ldexp(poly._half_lengths @ d, e)
+        return (poly.area + np.ldexp(poly._half_lengths @ d, e[:, None])).reshape(points.shape[:-1])
 
 
 def cone_volume(poly: Polygon, height) -> float:

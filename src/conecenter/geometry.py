@@ -77,6 +77,10 @@ class Polygon:
         return _readonly(0.5 * self.lengths)
 
     @cached_property
+    def _max_abs_offset(self) -> float:
+        return float(np.abs(self.offsets).max())
+
+    @cached_property
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper) corners of the axis-aligned bounding box."""
         return _readonly(self.vertices.min(axis=0)), _readonly(self.vertices.max(axis=0))

@@ -318,8 +318,9 @@ def height_sweep(poly: Polygon, heights: Sequence, tol=1e-10) -> list[SweepEntry
     for height in heights:
         try:
             h = float(height)
-        except (TypeError, ValueError) as exc:
-            entries.append(SweepEntry(math.nan, None, None, str(exc)))
+        except (TypeError, ValueError):
+            message = f"InputError: height must be a number, got {height!r}"
+            entries.append(SweepEntry(math.nan, None, None, message))
             continue
         try:
             result = center_at_height(poly, h, tol=tol, x0=start)

@@ -74,22 +74,27 @@ def default_grid_spec(poly: Polygon) -> GridSpec:
 def _refine_in_lockstep(poly: Polygon, heights, spec: GridSpec):
     """The refinement scan of ``spec`` at ``k`` heights, one box each, in lockstep.
 
-    Returns the ``(k, 2)`` best points and the ``(k,)`` best values.
+    Each round is one :func:`boundary_areas` call (more where its distances would
+    pass 32 MiB) on grids whose axes are ``np.linspace`` bit for bit unless a step
+    underflows.  Returns the ``(k, 2)`` best points and ``(k,)`` best values.
     """
     bound_lo, bound_hi = (np.asarray(side, dtype=float) for side in spec.box)
-    k = len(heights)
+    k, r = len(heights), spec.resolution
+    c = max(1, 2**22 // (len(poly.lengths) * r * r))  # heights per call: <= 32 MiB of distances
     lower, upper = np.tile(bound_lo, (k, 1)), np.tile(bound_hi, (k, 1))
     best_points, best_values = np.empty((k, 2)), np.full(k, math.inf)
+    # x-major layout so np.argmin's first hit is the lexicographic least
+    points = np.empty((k, r * r, 2))
+    grids = points.reshape(k, r, r, 2)
     for _ in range(spec.refine_rounds + 1):
-        axes = np.linspace(lower, upper, spec.resolution, axis=1)
-        # x-major layout so np.argmin's first hit is the lexicographic least
-        grids = np.broadcast_arrays(axes[:, :, None, 0], axes[:, None, :, 1])
-        points = np.stack(grids, axis=-1).reshape(k, -1, 2)
-        for i, h in enumerate(heights):
-            values = boundary_areas(poly, points[i], h)
-            j = int(np.argmin(values))
-            if values[j] < best_values[i]:
-                best_points[i], best_values[i] = points[i, j], values[j]
+        axes = np.arange(r) * ((upper - lower) / (r - 1))[:, :, None] + lower[:, :, None]
+        axes[:, :, -1] = upper
+        grids[..., 0], grids[..., 1] = axes[:, 0, :, None], axes[:, 1, None, :]
+        values = np.concatenate(
+            [boundary_areas(poly, points[i:i + c], heights[i:i + c]) for i in range(0, k, c)])
+        for i, (h, j) in enumerate(zip(heights, values.argmin(axis=1))):
+            if values[i, j] < best_values[i]:
+                best_points[i], best_values[i] = points[i, j], values[i, j]
             elif best_values[i] == math.inf:
                 raise SolverError(f"boundary area is not finite anywhere on the grid at height {h!r}")
         extent = (upper - lower) / spec.refine_zoom

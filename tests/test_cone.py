@@ -122,6 +122,41 @@ def test_boundary_areas_rejects_a_batch_that_is_not_n_points(shape):
         boundary_areas(TRAPEZOID, np.ones(shape), 1.0)
 
 
+# Heights 300 decades apart: one exponent shared by the batch would scale the
+# low slabs' distances and heights to zero (the 1e-300 slab came back as the
+# base area alone), so each slab takes its own.
+@pytest.mark.parametrize("shift", [0.0, 1e7])
+def test_boundary_areas_batch_equals_one_call_per_height(shift):
+    poly = build_polygon(np.array([(0.0, 0.0), (3.0, 0.0), (2.0, 1.0), (0.0, 1.0)]) + shift)
+    heights = (1e-300, 1.0, 1e300)
+    pts = shift + np.random.default_rng(29).uniform(-3.0, 3.0, size=(3, 50, 2))
+    batch = boundary_areas(poly, pts, heights)
+    assert batch.shape == (3, 50)
+    for slab, h, row in zip(pts, heights, batch):
+        assert row.tobytes() == boundary_areas(poly, slab, h).tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape, heights, expected",
+    [
+        ((2, 5, 2), [1.0, 2.0, 3.0], "(3, n, 2), one slab per height"),
+        ((3, 5, 2), 1.0, "(n, 2)"),
+        ((5, 2), [1.0], "(1, n, 2), one slab per height"),
+    ],
+)
+def test_boundary_areas_rejects_a_batch_that_does_not_match_its_heights(shape, heights, expected):
+    message = re.escape(f"points must have shape {expected}, got {shape}")
+    with pytest.raises(InputError, match=f"^{message}$"):
+        boundary_areas(TRAPEZOID, np.ones(shape), heights)
+
+
+@pytest.mark.parametrize("bad", [0.0, -2.0, math.inf, math.nan])
+def test_boundary_areas_rejects_a_bad_height_in_the_list(bad):
+    message = re.escape(f"height must be finite and > 0, got {bad}")
+    with pytest.raises(InputError, match=f"^{message}$"):
+        boundary_areas(TRAPEZOID, np.ones((3, 5, 2)), [1.0, bad, 3.0])
+
+
 def test_boundary_areas_matches_scalar_evaluation_on_translated_bases():
     # Off the origin, batch and single-point distances round apart by up to
     # eps * (|n_i|.|p| + |c_i|) each (test_signed_distances_batch_rows_match_single_points),

@@ -472,10 +472,10 @@ def test_height_sweep_records_per_height_failures():
 
 def test_height_sweep_records_heights_that_are_not_numbers():
     text, missing, numeric = height_sweep(TRAPEZOID, ["abc", None, 1.0])
-    for entry in (text, missing):
+    for entry, shown in ((text, "'abc'"), (missing, "None")):
         assert math.isnan(entry.height)
         assert entry.result is None and entry.ratio is None
-        assert isinstance(entry.error, str) and entry.error
+        assert entry.error == f"InputError: height must be a number, got {shown}"
     assert numeric.error is None and numeric.result.converged
 
 

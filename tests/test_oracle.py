@@ -112,7 +112,7 @@ def test_grid_scan_never_leaves_the_declared_box(monkeypatch):
     point, _ = grid_min_boundary(TRAPEZOID, 1.0, spec)
     ratio_point, height, _ = grid_min_ratio(TRAPEZOID, spec, h_range=(0.5, 8.0), h_samples=5)
     rounds = spec.refine_rounds + 1
-    assert len(seen) == rounds + rounds * 5 * rounds  # ratio: 5 heights per height round
+    assert len(seen) == rounds + rounds * rounds  # one call per round, all heights at once
     lo = np.array(box[0])
     hi = np.array(box[1])
     for batch in seen:
@@ -125,6 +125,29 @@ def test_grid_scan_never_leaves_the_declared_box(monkeypatch):
     assert 0.5 <= height <= 8.0
 
 
+def test_grid_axes_are_linspace_bit_for_bit(monkeypatch):
+    box = ((-0.3, -1.7), (2.9, 1.1))
+    spec = GridSpec(box=box, resolution=23, refine_rounds=3)
+    seen = []
+    true_eval = oracle_module.boundary_areas
+
+    def recording(poly, points, h):
+        seen.append(np.array(points, dtype=float).reshape(len(h), 23, 23, 2))
+        return true_eval(poly, points, h)
+
+    monkeypatch.setattr(oracle_module, "boundary_areas", recording)
+    oracle_module._refine_in_lockstep(TRAPEZOID, [0.5, 1.0, 4.0], spec)
+    assert len(seen) == spec.refine_rounds + 1
+    for grids in seen[0]:  # the declared box, at every height
+        assert grids[:, 0, 0].tobytes() == np.linspace(box[0][0], box[1][0], 23).tobytes()
+        assert grids[0, :, 1].tobytes() == np.linspace(box[0][1], box[1][1], 23).tobytes()
+    for grids in (g for batch in seen for g in batch):  # every box: an x-major product grid
+        x, y = grids[:, 0, 0], grids[0, :, 1]
+        assert x.tobytes() == np.linspace(x[0], x[-1], 23).tobytes()
+        assert y.tobytes() == np.linspace(y[0], y[-1], 23).tobytes()
+        assert np.array_equal(grids, np.stack(np.meshgrid(x, y, indexing="ij"), axis=-1))
+
+
 def test_lockstep_scan_matches_one_scan_per_height():
     spec = light_spec(TRAPEZOID)
     heights = [0.05, 0.7, 2.0, 3.25, 40.0]
@@ -135,6 +158,27 @@ def test_lockstep_scan_matches_one_scan_per_height():
         alone_point, alone_value = grid_min_boundary(TRAPEZOID, h, spec)
         assert point.tobytes() == alone_point.tobytes()
         assert value.tobytes() == np.float64(alone_value).tobytes()
+
+
+def test_lockstep_scan_splits_large_batches(monkeypatch):
+    # 33 heights x 4 edges x 201**2 points would hold 43 MB of distances at once;
+    # each call holds at most 2**22 of them (32 MiB), 25 heights here
+    spec = GridSpec(box=default_grid_spec(TRAPEZOID).box, resolution=201, refine_rounds=1)
+    heights = np.linspace(0.5, 4.0, 33).tolist()
+    sizes = []
+    true_eval = oracle_module.boundary_areas
+
+    def recording(poly, points, h):
+        sizes.append(len(h))
+        return true_eval(poly, points, h)
+
+    monkeypatch.setattr(oracle_module, "boundary_areas", recording)
+    points, values = oracle_module._refine_in_lockstep(TRAPEZOID, heights, spec)
+    assert sizes == [25, 8, 25, 8]
+    for i in (0, 24, 25, 32):
+        alone_point, alone_value = grid_min_boundary(TRAPEZOID, heights[i], spec)
+        assert points[i].tobytes() == alone_point.tobytes()
+        assert values[i].tobytes() == np.float64(alone_value).tobytes()
 
 
 def test_grid_min_boundary_names_a_height_where_no_value_is_finite():
@@ -160,7 +204,7 @@ def test_grid_min_ratio_names_a_height_where_the_ratio_leaves_the_float_range(h_
 
 def test_flat_objective_ties_break_to_lower_left_corner(monkeypatch):
     monkeypatch.setattr(
-        oracle_module, "boundary_areas", lambda poly, points, h: np.zeros(len(points))
+        oracle_module, "boundary_areas", lambda poly, points, h: np.zeros(np.shape(points)[:-1])
     )
     spec = GridSpec(box=((-2.0, 3.0), (4.0, 7.0)), resolution=11, refine_rounds=3)
     point, value = grid_min_boundary(TRAPEZOID, 1.0, spec)
