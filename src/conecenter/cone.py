@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, SolverError, _positive_height
+from .errors import InputError, SolverError, _finite_point, _positive_height
 from .geometry import Polygon, signed_distances
 
 __all__ = [
@@ -42,10 +42,7 @@ class Apex:
     height: float
 
     def __post_init__(self):
-        projection = np.asarray(self.projection, dtype=float)
-        if projection.shape != (2,) or not np.all(np.isfinite(projection)):
-            raise InputError("apex projection must be a finite 2-D point")
-        object.__setattr__(self, "projection", projection)
+        object.__setattr__(self, "projection", _finite_point(self.projection, "apex projection"))
         object.__setattr__(self, "height", _positive_height(self.height, "apex height"))
 
 
@@ -81,7 +78,8 @@ def boundary_areas(poly: Polygon, points, height) -> np.ndarray:
     their cost is call overhead).  So a value may differ from :func:`boundary_area` by
     a few ulps: the slant rounds four times instead of once, and the batch
     distances and the sum over edges may round in another order.  Values
-    beyond the float range are ``inf``, without a warning.
+    beyond the float range are ``inf``, without a warning; a projection that
+    is not finite is an ``InputError``.
     """
     points = np.asarray(points, dtype=float)
     single = np.ndim(height) == 0
@@ -90,7 +88,10 @@ def boundary_areas(poly: Polygon, points, height) -> np.ndarray:
     if p.ndim != 3 or p.shape[0] != len(h) or p.shape[2] != 2:
         expected = "(n, 2)" if single else f"({len(h)}, n, 2), one slab per height"
         raise InputError(f"points must have shape {expected}, got {points.shape}")
-    e = np.frexp(np.maximum(np.abs(p).max(axis=(1, 2), initial=poly._max_abs_offset), h))[1] + 2
+    bound = np.maximum(np.abs(p).max(axis=(1, 2), initial=poly._max_abs_offset), h)
+    if not np.isfinite(bound).all():
+        raise InputError("apex projections must be finite")
+    e = np.frexp(bound)[1] + 2
     d = signed_distances(poly, p).swapaxes(1, 2)
     d *= np.ldexp(1.0, -e)[:, None, None]
     d *= d
@@ -151,6 +152,6 @@ def equal_angle_residual(poly: Polygon, point, height) -> float:
     same angle, as they do over the incenter of a triangle.
     """
     h = _positive_height(height)
-    d = signed_distances(poly, point)
+    d = signed_distances(poly, _finite_point(point, "apex projection"))
     s = d / _slants(d, h)
     return float(s.max() - s.min())

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cone import OPTIMAL_HEIGHT_RATIO, _boundary, _ratio, _slants
-from .errors import InputError, SolverError, _positive_height
+from .errors import InputError, SolverError, _finite_point, _positive_height
 from .geometry import Polygon, centroid, signed_distances, triangle_incenter
 
 __all__ = [
@@ -94,7 +94,8 @@ class SweepEntry:
 def boundary_gradient(poly: Polygon, point, height) -> np.ndarray:
     """Analytic gradient of the boundary area with respect to the projection:
     the direct-form gradient of the solver's own local model."""
-    return _local_model(poly, point, _positive_height(height), False)[3]
+    x = _finite_point(point, "apex projection")
+    return _local_model(poly, x, _positive_height(height), False)[3]
 
 
 def _local_model(poly: Polygon, x, h, shifted):
@@ -150,9 +151,7 @@ def center_at_height(poly: Polygon, height, tol=1e-10, x0=None) -> CenterResult:
     # sum_i a_i s_i >= perimeter * h: once that overflows, so do the model's sums
     if not math.isfinite(poly.perimeter * h):
         raise SolverError(f"boundary area at h={h:g} is too large: perimeter * h overflows")
-    x = centroid(poly) if x0 is None else np.asarray(x0, dtype=float)
-    if x.shape != (2,) or not all(map(math.isfinite, x.tolist())):
-        raise InputError("starting point must be a finite 2-D point")
+    x = _finite_point(centroid(poly) if x0 is None else x0, "starting point")
     px, py = x.tolist()
     step_tol = tol * poly.diameter
     # per-solve constants of the Newton step: a_i / 2, |n_i| and n_i n_i^T flattened

@@ -15,7 +15,7 @@ from typing import ClassVar
 import numpy as np
 
 from .cone import _ratio, boundary_areas
-from .errors import InputError, SolverError, _positive_height
+from .errors import InputError, SolverError, _finite_point, _positive_height
 from .geometry import Polygon
 
 __all__ = [
@@ -71,36 +71,44 @@ def default_grid_spec(poly: Polygon) -> GridSpec:
     return GridSpec(box=(tuple(lower - pad), tuple(upper + pad)))
 
 
-def _refine_in_lockstep(poly: Polygon, heights, spec: GridSpec):
-    """The refinement scan of ``spec`` at ``k`` heights, one box each, in lockstep.
+def _refine(poly: Polygon, spec: GridSpec, h_range, samples, score):
+    """The refinement scan of ``spec`` over projection and height together.
 
-    Each round is one :func:`boundary_areas` call (more where its distances would
-    pass 32 MiB) on grids whose axes are ``np.linspace`` bit for bit unless a step
-    underflows.  Returns the ``(k, 2)`` best points and ``(k,)`` best values.
+    Each round builds one grid over the current box, with axes ``np.linspace``
+    bit for bit unless a step underflows, and evaluates it at ``samples``
+    heights spread over the current height interval in one
+    :func:`boundary_areas` call (more where its distances would pass 32 MiB).
+    The point and height of least ``score(boundary, height)`` so far re-center
+    the box and the interval, each shrunk by the zoom and clipped into its
+    declared range.  Returns ``(point, height, score)``.
     """
     bound_lo, bound_hi = (np.asarray(side, dtype=float) for side in spec.box)
-    k, r = len(heights), spec.resolution
+    (h_lo, h_hi), lower, upper, r = h_range, bound_lo, bound_hi, spec.resolution
     c = max(1, 2**22 // (len(poly.lengths) * r * r))  # heights per call: <= 32 MiB of distances
-    lower, upper = np.tile(bound_lo, (k, 1)), np.tile(bound_hi, (k, 1))
-    best_points, best_values = np.empty((k, 2)), np.full(k, math.inf)
     # x-major layout so np.argmin's first hit is the lexicographic least
-    points = np.empty((k, r * r, 2))
-    grids = points.reshape(k, r, r, 2)
+    points = np.empty((r * r, 2))
+    grid = points.reshape(r, r, 2)
+    best = (None, math.nan, math.inf)
     for _ in range(spec.refine_rounds + 1):
-        axes = np.arange(r) * ((upper - lower) / (r - 1))[:, :, None] + lower[:, :, None]
-        axes[:, :, -1] = upper
-        grids[..., 0], grids[..., 1] = axes[:, 0, :, None], axes[:, 1, None, :]
-        values = np.concatenate(
-            [boundary_areas(poly, points[i:i + c], heights[i:i + c]) for i in range(0, k, c)])
-        for i, (h, j) in enumerate(zip(heights, values.argmin(axis=1))):
-            if values[i, j] < best_values[i]:
-                best_points[i], best_values[i] = points[i, j], values[i, j]
-            elif best_values[i] == math.inf:
+        axes = np.arange(r) * ((upper - lower) / (r - 1))[:, None] + lower[:, None]
+        axes[:, -1] = upper
+        grid[..., 0], grid[..., 1] = axes[0, :, None], axes[1, None, :]
+        heights = np.linspace(h_lo, h_hi, samples).tolist()
+        values = np.concatenate([boundary_areas(poly, np.broadcast_to(points, (len(hs), r * r, 2)), hs)
+                                 for hs in (heights[i:i + c] for i in range(0, samples, c))])
+        for h, row in zip(heights, values):
+            j = row.argmin()
+            value = score(float(row[j]), h)
+            if value < best[2]:
+                best = (points[j].copy(), h, value)
+            elif best[2] == math.inf:
                 raise SolverError(f"boundary area is not finite anywhere on the grid at height {h!r}")
-        extent = (upper - lower) / spec.refine_zoom
-        lower = np.clip(best_points - 0.5 * extent, bound_lo, bound_hi - extent)
+        extent, h_extent = (upper - lower) / spec.refine_zoom, (h_hi - h_lo) / spec.refine_zoom
+        lower = np.clip(best[0] - 0.5 * extent, bound_lo, bound_hi - extent)
         upper = lower + extent
-    return best_points, best_values
+        h_lo = min(max(best[1] - 0.5 * h_extent, h_range[0]), h_range[1] - h_extent)
+        h_hi = h_lo + h_extent
+    return best
 
 
 def grid_min_boundary(poly: Polygon, height, spec: GridSpec | None = None):
@@ -113,20 +121,23 @@ def grid_min_boundary(poly: Polygon, height, spec: GridSpec | None = None):
     first scan is finite.
     """
     h = _positive_height(height)
-    points, values = _refine_in_lockstep(poly, [h], spec or default_grid_spec(poly))
-    return points[0], float(values[0])
+    point, _, value = _refine(poly, spec or default_grid_spec(poly), (h, h), 1, lambda b, _: b)
+    return point, value
 
 
 def grid_min_ratio(poly: Polygon, spec_xy: GridSpec | None = None, h_range=None, h_samples=33):
     """Grid minimum of ``boundary**3 / volume**2`` over projection and height.
 
-    Each round scans ``h_samples`` heights with ``spec_xy``, as
-    :func:`grid_min_boundary` would; the height interval is then
-    re-centered on the best sample and shrunk with the same zoom schedule.
-    ``h_range`` defaults to ``(0.05, 10) * 2 * area / perimeter``, around
-    the scale of the optimal height.  Returns ``(point, height, value)``;
-    raises ``SolverError`` when the ratio at a sampled height is not a
-    finite float.
+    Refines projection and height together: each round scans one grid of
+    ``spec_xy`` at ``h_samples`` heights spread over the height interval,
+    then re-centers the box and the interval on the best point and height
+    and shrinks both with the same zoom schedule, as
+    :func:`grid_min_boundary` does at one height.  ``h_range`` defaults to
+    ``(0.05, 10) * 2 * area / perimeter``, around the scale of the optimal
+    height.  Ties go to the lower height, then to the lexicographically
+    smallest grid point.  Returns ``(point, height, value)``; raises
+    ``SolverError`` when the ratio at a sampled height is not a finite
+    float.
     """
     if h_range is None:
         scale = 2.0 * poly.area / poly.perimeter
@@ -136,29 +147,14 @@ def grid_min_ratio(poly: Polygon, spec_xy: GridSpec | None = None, h_range=None,
         raise InputError(f"height range must satisfy 0 < lo < hi < inf, got {h_range}")
     if not isinstance(h_samples, numbers.Integral) or h_samples < 3:
         raise InputError(f"h_samples must be an integer >= 3, got {h_samples!r}")
-    if spec_xy is None:
-        spec_xy = default_grid_spec(poly)
-    range_lo, range_hi = h_lo, h_hi
-    best = (None, math.nan, math.inf)
-    for _ in range(spec_xy.refine_rounds + 1):
-        heights = np.linspace(h_lo, h_hi, h_samples).tolist()
-        points, boundaries = _refine_in_lockstep(poly, heights, spec_xy)
-        for h, point, boundary in zip(heights, points, boundaries.tolist()):
-            value = _ratio(poly, boundary, h)
-            if value < best[2]:
-                best = (point, h, value)
-        extent = (h_hi - h_lo) / spec_xy.refine_zoom
-        h_lo = min(max(best[1] - 0.5 * extent, range_lo), range_hi - extent)
-        h_hi = h_lo + extent
-    return best
+    return _refine(poly, spec_xy or default_grid_spec(poly), (h_lo, h_hi), h_samples,
+                   lambda b, h: _ratio(poly, b, h))
 
 
 def finite_diff_gradient(objective, point, step):
     """Central-difference gradient of a scalar objective of a 2-D point."""
-    s = float(step)
-    if not s > 0.0:
-        raise InputError(f"step must be > 0, got {step}")
-    p = np.asarray(point, dtype=float)
+    s = _positive_height(step, "step")
+    p = _finite_point(point, "point")
     ex = np.array([s, 0.0])
     ey = np.array([0.0, s])
     return np.array(

@@ -122,6 +122,14 @@ def test_boundary_areas_rejects_a_batch_that_is_not_n_points(shape):
         boundary_areas(TRAPEZOID, np.ones(shape), 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_boundary_areas_rejects_projections_that_are_not_finite(bad):
+    # nan used to come back as a nan area, inf as an inf area
+    for points, height in (([[0.5, 0.0], [bad, 0.0]], 1.0), ([[[0.5, bad]], [[0.5, 0.0]]], [1.0, 2.0])):
+        with pytest.raises(InputError, match="^apex projections must be finite$"):
+            boundary_areas(TRAPEZOID, points, height)
+
+
 # Heights 300 decades apart: one exponent shared by the batch would scale the
 # low slabs' distances and heights to zero (the 1e-300 slab came back as the
 # base area alone), so each slab takes its own.

@@ -306,6 +306,21 @@ def test_center_rejects_bad_arguments():
             center_at_height(TRAPEZOID, 1.0, x0=x0)
 
 
+@pytest.mark.parametrize("point", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0), (1.0, 0.0, 0.0)])
+def test_point_functions_reject_a_point_that_is_not_finite_and_2d(point):
+    # nan used to come back as nan, inf as a RuntimeWarning, a 3-D point as matmul's ValueError;
+    # center_at_height's x0 shares the check (test_center_rejects_bad_arguments)
+    calls = [
+        ("apex projection", lambda: Apex(point, 1.0)),
+        ("apex projection", lambda: boundary_gradient(TRAPEZOID, point, 1.0)),
+        ("apex projection", lambda: equal_angle_residual(TRAPEZOID, point, 1.0)),
+        ("point", lambda: finite_diff_gradient(lambda p: 0.0, point, 1e-3)),
+    ]
+    for what, call in calls:
+        with pytest.raises(InputError, match=f"^{what} must be a finite 2-D point$"):
+            call()
+
+
 def test_iteration_cap_returns_best_iterate_unconverged(monkeypatch):
     monkeypatch.setattr(optimize_module, "_MAX_STEPS", 1)
     res = center_at_height(TRAPEZOID, 1.0)

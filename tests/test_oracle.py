@@ -112,7 +112,7 @@ def test_grid_scan_never_leaves_the_declared_box(monkeypatch):
     point, _ = grid_min_boundary(TRAPEZOID, 1.0, spec)
     ratio_point, height, _ = grid_min_ratio(TRAPEZOID, spec, h_range=(0.5, 8.0), h_samples=5)
     rounds = spec.refine_rounds + 1
-    assert len(seen) == rounds + rounds * rounds  # one call per round, all heights at once
+    assert len(seen) == rounds + rounds  # one call per round, all heights at once
     lo = np.array(box[0])
     hi = np.array(box[1])
     for batch in seen:
@@ -136,7 +136,7 @@ def test_grid_axes_are_linspace_bit_for_bit(monkeypatch):
         return true_eval(poly, points, h)
 
     monkeypatch.setattr(oracle_module, "boundary_areas", recording)
-    oracle_module._refine_in_lockstep(TRAPEZOID, [0.5, 1.0, 4.0], spec)
+    grid_min_ratio(TRAPEZOID, spec, h_samples=3)
     assert len(seen) == spec.refine_rounds + 1
     for grids in seen[0]:  # the declared box, at every height
         assert grids[:, 0, 0].tobytes() == np.linspace(box[0][0], box[1][0], 23).tobytes()
@@ -148,23 +148,49 @@ def test_grid_axes_are_linspace_bit_for_bit(monkeypatch):
         assert np.array_equal(grids, np.stack(np.meshgrid(x, y, indexing="ij"), axis=-1))
 
 
-def test_lockstep_scan_matches_one_scan_per_height():
-    spec = light_spec(TRAPEZOID)
-    heights = [0.05, 0.7, 2.0, 3.25, 40.0]
-    points, values = oracle_module._refine_in_lockstep(TRAPEZOID, heights, spec)
-    assert points.shape == (5, 2)
-    assert values.shape == (5,)
-    for h, point, value in zip(heights, points, values):
-        alone_point, alone_value = grid_min_boundary(TRAPEZOID, h, spec)
-        assert point.tobytes() == alone_point.tobytes()
-        assert value.tobytes() == np.float64(alone_value).tobytes()
+def nested_ratio_scan(poly, spec, h_range, h_samples):
+    """The ratio scan that refined heights around a full projection scan per
+    height sample: each round calls grid_min_boundary at every sample, takes
+    the least 9*B*(B/A/h)**2 and zooms the height interval around it."""
+    range_lo, range_hi = h_lo, h_hi = h_range
+    best = (None, math.nan, math.inf)
+    for _ in range(spec.refine_rounds + 1):
+        for h in np.linspace(h_lo, h_hi, h_samples).tolist():
+            point, boundary = grid_min_boundary(poly, h, spec)
+            q = boundary / poly.area / h
+            if 9.0 * (boundary * q * q) < best[2]:
+                best = (point, h, 9.0 * (boundary * q * q))
+        extent = (h_hi - h_lo) / spec.refine_zoom
+        h_lo = min(max(best[1] - 0.5 * extent, range_lo), range_hi - extent)
+        h_hi = h_lo + extent
+    return best
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        pytest.param(TRAPEZOID.vertices, id="trapezoid"),
+        pytest.param(helpers.random_triangle(np.random.default_rng(11)), id="triangle"),
+        pytest.param(helpers.random_star_polygon(np.random.default_rng(12)), id="star"),
+        pytest.param([(0, 0), (4, 0), (4, 3), (3, 3), (3, 1), (1, 1), (1, 3), (0, 3)], id="U"),
+    ],
+)
+def test_grid_min_ratio_matches_the_nested_scan(vertices):
+    # one grid per round at every height finds what a projection scan per height found
+    poly = build_polygon(vertices)
+    spec = light_spec(poly)
+    scale = 2.0 * poly.area / poly.perimeter
+    point, height, value = grid_min_ratio(poly, spec, h_samples=9)
+    nested_point, nested_height, nested_value = nested_ratio_scan(
+        poly, spec, (0.05 * scale, 10.0 * scale), 9)
+    assert np.abs(point - nested_point).max() <= 1e-9 * spec.final_resolution()
+    assert height == pytest.approx(nested_height, rel=2e-15, abs=0.0)
+    assert value == pytest.approx(nested_value, rel=2e-15, abs=0.0)
 
 
 def test_lockstep_scan_splits_large_batches(monkeypatch):
-    # 33 heights x 4 edges x 201**2 points would hold 43 MB of distances at once;
-    # each call holds at most 2**22 of them (32 MiB), 25 heights here
-    spec = GridSpec(box=default_grid_spec(TRAPEZOID).box, resolution=201, refine_rounds=1)
-    heights = np.linspace(0.5, 4.0, 33).tolist()
+    # the library default: 33 heights x 4 edges x 201**2 points would hold 43 MB of
+    # distances at once; each call holds at most 2**22 of them (32 MiB), 25 heights here
     sizes = []
     true_eval = oracle_module.boundary_areas
 
@@ -173,12 +199,15 @@ def test_lockstep_scan_splits_large_batches(monkeypatch):
         return true_eval(poly, points, h)
 
     monkeypatch.setattr(oracle_module, "boundary_areas", recording)
-    points, values = oracle_module._refine_in_lockstep(TRAPEZOID, heights, spec)
-    assert sizes == [25, 8, 25, 8]
-    for i in (0, 24, 25, 32):
-        alone_point, alone_value = grid_min_boundary(TRAPEZOID, heights[i], spec)
-        assert points[i].tobytes() == alone_point.tobytes()
-        assert values[i].tobytes() == np.float64(alone_value).tobytes()
+    point, height, value = grid_min_ratio(TRAPEZOID)
+    spec = default_grid_spec(TRAPEZOID)
+    assert sizes == [25, 8] * (spec.refine_rounds + 1)
+    best = optimal_cone(TRAPEZOID)
+    scale = 2.0 * TRAPEZOID.area / TRAPEZOID.perimeter
+    h_step = (10.0 - 0.05) * scale / (32 * spec.refine_zoom**spec.refine_rounds)
+    assert np.linalg.norm(point - best.center) <= 10.0 * spec.final_resolution()
+    assert abs(height - best.height) <= 10.0 * h_step
+    assert value == pytest.approx(best.ratio, rel=1e-6)
 
 
 def test_grid_min_boundary_names_a_height_where_no_value_is_finite():
@@ -283,3 +312,6 @@ def test_finite_diff_gradient_rejects_bad_step():
         finite_diff_gradient(lambda p: 0.0, (0.0, 0.0), 0.0)
     with pytest.raises(InputError):
         finite_diff_gradient(lambda p: 0.0, (0.0, 0.0), -1e-3)
+    for step in (math.inf, math.nan):  # inf used to give [nan, nan]
+        with pytest.raises(InputError, match="^step must be finite and > 0"):
+            finite_diff_gradient(lambda p: 0.0, (0.0, 0.0), step)
