@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, SolverError, _finite_point, _positive_height
+from .errors import InputError, SolverError, _finite_point, _floats, _positive_height
 from .geometry import Polygon, signed_distances
 
 __all__ = [
@@ -46,11 +46,6 @@ class Apex:
         object.__setattr__(self, "height", _positive_height(self.height, "apex height"))
 
 
-def _slants(d, h):
-    """Face slants ``sqrt(d**2 + h**2)`` of edge distances ``d``; ``h`` is already checked."""
-    return np.hypot(d, h)
-
-
 def _boundary(poly: Polygon, slant):
     """Base area plus the lateral faces ``a_i * slant_i / 2``."""
     return poly.area + slant @ poly._half_lengths
@@ -59,7 +54,7 @@ def _boundary(poly: Polygon, slant):
 def boundary_area(poly: Polygon, apex: Apex) -> float:
     """Base area plus the lateral faces, ``sum(a_i * sqrt(d_i**2 + h**2)) / 2``."""
     d = signed_distances(poly, apex.projection)
-    return float(_boundary(poly, _slants(d, apex.height)))
+    return float(_boundary(poly, np.hypot(d, apex.height)))
 
 
 def boundary_areas(poly: Polygon, points, height) -> np.ndarray:
@@ -81,7 +76,7 @@ def boundary_areas(poly: Polygon, points, height) -> np.ndarray:
     beyond the float range are ``inf``, without a warning; a projection that
     is not finite is an ``InputError``.
     """
-    points = np.asarray(points, dtype=float)
+    points = _floats(points)
     single = np.ndim(height) == 0
     h = np.array([_positive_height(x) for x in ([height] if single else height)])
     p = points[None] if single else points
@@ -153,5 +148,5 @@ def equal_angle_residual(poly: Polygon, point, height) -> float:
     """
     h = _positive_height(height)
     d = signed_distances(poly, _finite_point(point, "apex projection"))
-    s = d / _slants(d, h)
+    s = d / np.hypot(d, h)
     return float(s.max() - s.min())

@@ -20,9 +20,21 @@ class SolverError(RuntimeError):
     """A numerical routine failed to produce a trustworthy result."""
 
 
+def _floats(value) -> np.ndarray:
+    """``value`` as a float array, or a 0-d nan where it does not convert: every
+    caller's shape or finiteness check then raises its own InputError."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        return np.array(math.nan)
+
+
 def _positive_height(height, what="height") -> float:
     """``float(height)``; InputError unless it is finite and > 0."""
-    h = float(height)
+    try:
+        h = float(height)
+    except (TypeError, ValueError):
+        raise InputError(f"{what} must be a number, got {height!r}") from None
     if not (h > 0.0 and math.isfinite(h)):
         raise InputError(f"{what} must be finite and > 0, got {height}")
     return h
@@ -30,7 +42,7 @@ def _positive_height(height, what="height") -> float:
 
 def _finite_point(point, what) -> np.ndarray:
     """``point`` as a float array; InputError unless it is a finite 2-D point."""
-    p = np.asarray(point, dtype=float)
+    p = _floats(point)
     if p.shape != (2,) or not all(map(math.isfinite, p.tolist())):
         raise InputError(f"{what} must be a finite 2-D point")
     return p

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, SolverError
+from .errors import InputError, SolverError, _floats
 
 __all__ = [
     "Polygon",
@@ -171,7 +171,7 @@ def build_polygon(points) -> Polygon:
         (the message names the first pair of edges that touch).
     """
     try:
-        verts = np.asarray(points, dtype=float)
+        verts = _floats(points)
     except OverflowError as exc:
         raise InputError(f"vertex coordinates are too large for a float: {exc}") from exc
     if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:

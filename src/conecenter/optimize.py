@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cone import OPTIMAL_HEIGHT_RATIO, _boundary, _ratio, _slants
+from .cone import OPTIMAL_HEIGHT_RATIO, _boundary, _ratio
 from .errors import InputError, SolverError, _finite_point, _positive_height
 from .geometry import Polygon, centroid, signed_distances, triangle_incenter
 
@@ -43,6 +43,7 @@ __all__ = [
     "height_sweep",
 ]
 
+TOL = 1e-10  # convergence: Newton step length, in diameters and in log h
 ARMIJO_SLOPE = 1e-4
 BACKTRACK_FACTOR = 0.5
 _MAX_STEPS = 200  # damped steps of either Newton loop
@@ -104,7 +105,7 @@ def _local_model(poly: Polygon, x, h, shifted):
     module docstring); ``h`` is already checked."""
     lengths = poly.lengths
     d = signed_distances(poly, x)
-    slant = _slants(d, h)
+    slant = np.hypot(d, h)
     if shifted:
         r = h * (h / (slant + np.abs(d))) + (np.abs(d) - d)  # slant - d
         value, w = 0.5 * float(lengths @ r), -0.5 * lengths * r / slant
@@ -113,23 +114,23 @@ def _local_model(poly: Polygon, x, h, shifted):
     return d, slant, value, poly.normals.T @ w, w
 
 
-def center_at_height(poly: Polygon, height, tol=1e-10, x0=None) -> CenterResult:
+def center_at_height(poly: Polygon, height, x0=None) -> CenterResult:
     """Minimize the cone boundary area over the apex projection at fixed height.
 
     Parameters
     ----------
     poly : Polygon
     height : finite positive float
-    tol : finite positive float
-        Converged when the Newton step, plus how far rounding in the
-        gradient can move it, is at most ``tol * diameter`` long, and at
-        most ``min_i s_i / 8``; that step is taken.  Unlike the gradient,
-        which shrinks like h**2, the step needs no scale factor in x or h.
     x0 : array_like, optional
         Finite starting point; defaults to the centroid.
 
     Notes
     -----
+    Converged when the Newton step, plus how far rounding in the gradient
+    can move it, is at most ``TOL * diameter`` long (``TOL = 1e-10``), and
+    at most ``min_i s_i / 8``; that step is taken.  Unlike the gradient,
+    which shrinks like h**2, the step needs no scale factor in x or h.
+
     The value and gradient take the direct or the shifted form (see the
     module docstring), whichever has the smaller ``sum_i a_i |w_i|`` over
     its gradient weights, ``d_i / s_i`` or ``(s_i - d_i) / s_i``, at the
@@ -146,14 +147,12 @@ def center_at_height(poly: Polygon, height, tol=1e-10, x0=None) -> CenterResult:
     ``SolverError``, before any step, where ``perimeter * h`` overflows.
     """
     h = _positive_height(height)
-    if not 0.0 < tol < math.inf:
-        raise InputError(f"tol must be finite and > 0, got {tol}")
     # sum_i a_i s_i >= perimeter * h: once that overflows, so do the model's sums
     if not math.isfinite(poly.perimeter * h):
         raise SolverError(f"boundary area at h={h:g} is too large: perimeter * h overflows")
     x = _finite_point(centroid(poly) if x0 is None else x0, "starting point")
     px, py = x.tolist()
-    step_tol = tol * poly.diameter
+    step_tol = TOL * poly.diameter
     # per-solve constants of the Newton step: a_i / 2, |n_i| and n_i n_i^T flattened
     half = poly._half_lengths
     abs_normals_t = np.abs(poly.normals.T)
@@ -162,7 +161,7 @@ def center_at_height(poly: Polygon, height, tol=1e-10, x0=None) -> CenterResult:
     # the shifted gradient terms sum_i a_i |s_i - d_i| / s_i are the smaller
     # sum exactly when sum_i a_i max(d_i, 0) / s_i exceeds perimeter / 2
     d = signed_distances(poly, x)
-    shifted = float(poly.lengths @ (np.maximum(d, 0.0) / _slants(d, h))) > 0.5 * poly.perimeter
+    shifted = float(poly.lengths @ (np.maximum(d, 0.0) / np.hypot(d, h))) > 0.5 * poly.perimeter
     d, slant, value, grad, grad_w = _local_model(poly, x, h, shifted)
     iterations = 0
     converged = False
@@ -246,21 +245,21 @@ def _joint_model(poly: Polygon, x, u):
     return 3.0 * math.log(b) - 2.0 * u, grad, inverse, 1.5 * _EPS * error
 
 
-def optimal_cone(poly: Polygon, tol=1e-10) -> OptimalCone:
+def optimal_cone(poly: Polygon) -> OptimalCone:
     """Minimize ``F = boundary**3 / volume**2`` over the apex projection
     and height by Newton on ``phi`` (module docstring) from the centroid at
     ``h = 2 * sqrt(2) * 2 * area / perimeter``, exact on tangential bases.
 
     The rules are ``center_at_height``'s in three variables, with ``phi``'s
     Hessian less its ``-3 grad B grad B^T / B**2`` term where it is not
-    positive definite.  Converged means the step's x part is at most ``tol *
-    diameter`` and u part at most ``tol``, each plus how far rounding in the
+    positive definite.  Converged means the step's x part is at most ``TOL *
+    diameter`` and u part at most ``TOL``, each plus how far rounding in the
     gradient and in the position moves it; ``d(phi)/du`` is the envelope
     theorem's height derivative ``1.5 * h**2 * sum_i a_i / s_i / B - 2``.
     A ``center_at_height`` solve at the final height, started at the final
     projection, certifies the answer; ``converged`` needs both.  Raises
-    ``InputError`` for a bad ``tol`` (from that solve), ``SolverError`` for
-    a ratio or a ``perimeter * h``, trial steps too, beyond the float range."""
+    ``SolverError`` for a ratio or a ``perimeter * h``, trial steps too,
+    beyond the float range."""
     x, u = centroid(poly), math.log(OPTIMAL_HEIGHT_RATIO * 2.0 * poly.area / poly.perimeter)
     value, grad, inverse, error = _joint_model(poly, x, u)
     iterations, converged = 0, False
@@ -270,7 +269,7 @@ def optimal_cone(poly: Polygon, tol=1e-10) -> OptimalCone:
         noise = np.abs(inverse) @ error + _EPS * np.abs(np.append(x / poly.diameter, u))
         length, length_u = math.hypot(step[0], step[1]), abs(step[2])
         noise_x, noise_u = math.hypot(noise[0], noise[1]), noise[2]
-        if length + noise_x <= tol and length_u + noise_u <= tol:
+        if length + noise_x <= TOL and length_u + noise_u <= TOL:
             x, u = x + move, u + step[2]
             converged = True
             break
@@ -291,7 +290,7 @@ def optimal_cone(poly: Polygon, tol=1e-10) -> OptimalCone:
         value, grad, inverse, error = trial
         iterations += 1
 
-    certified = center_at_height(poly, math.exp(u), tol=tol, x0=x)
+    certified = center_at_height(poly, math.exp(u), x0=x)
     return OptimalCone(
         center=certified.center,
         height=certified.height,
@@ -305,7 +304,7 @@ def optimal_cone(poly: Polygon, tol=1e-10) -> OptimalCone:
     )
 
 
-def height_sweep(poly: Polygon, heights: Sequence, tol=1e-10) -> list[SweepEntry]:
+def height_sweep(poly: Polygon, heights: Sequence) -> list[SweepEntry]:
     """Fixed-height solves over ``heights``; failures land in the entry's
     ``error`` field instead of aborting the sweep.  Each solve starts at the
     center of the last entry, in the given order, that converged (at the
@@ -322,7 +321,7 @@ def height_sweep(poly: Polygon, heights: Sequence, tol=1e-10) -> list[SweepEntry
             entries.append(SweepEntry(math.nan, None, None, message))
             continue
         try:
-            result = center_at_height(poly, h, tol=tol, x0=start)
+            result = center_at_height(poly, h, x0=start)
             ratio = _ratio(poly, result.boundary_area, h)
         except (InputError, SolverError) as exc:
             entries.append(SweepEntry(h, None, None, f"{type(exc).__name__}: {exc}"))

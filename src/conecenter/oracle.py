@@ -15,7 +15,7 @@ from typing import ClassVar
 import numpy as np
 
 from .cone import _ratio, boundary_areas
-from .errors import InputError, SolverError, _finite_point, _positive_height
+from .errors import InputError, SolverError, _finite_point, _floats, _positive_height
 from .geometry import Polygon
 
 __all__ = [
@@ -44,18 +44,16 @@ class GridSpec:
     refine_zoom: ClassVar[float] = 5.0
 
     def __post_init__(self):
-        lower, upper = (np.asarray(side, dtype=float) for side in self.box)
-        if lower.shape != (2,) or upper.shape != (2,) or not np.all(np.isfinite([lower, upper])):
+        box = _floats(self.box)
+        if box.shape != (2, 2) or not np.isfinite(box).all():
             raise InputError("grid box must be two finite 2-D corner points")
-        if not np.all(upper > lower):
+        if not np.all(box[1] > box[0]):
             raise InputError("grid box must have positive extent on both axes")
         if not isinstance(self.resolution, numbers.Integral) or self.resolution < 3:
             raise InputError(f"grid resolution must be an integer >= 3, got {self.resolution!r}")
         if not isinstance(self.refine_rounds, numbers.Integral) or self.refine_rounds < 0:
             raise InputError(f"refine_rounds must be an integer >= 0, got {self.refine_rounds!r}")
-        object.__setattr__(
-            self, "box", ((float(lower[0]), float(lower[1])), (float(upper[0]), float(upper[1])))
-        )
+        object.__setattr__(self, "box", tuple(map(tuple, box.tolist())))
 
     def final_resolution(self) -> float:
         """Grid spacing of the last refinement round, on the wider axis."""
@@ -142,9 +140,10 @@ def grid_min_ratio(poly: Polygon, spec_xy: GridSpec | None = None, h_range=None,
     if h_range is None:
         scale = 2.0 * poly.area / poly.perimeter
         h_range = (0.05 * scale, 10.0 * scale)
-    h_lo, h_hi = (float(h) for h in h_range)
-    if not 0.0 < h_lo < h_hi < math.inf:
+    bounds = _floats(h_range)
+    if bounds.shape != (2,) or not 0.0 < bounds[0] < bounds[1] < math.inf:
         raise InputError(f"height range must satisfy 0 < lo < hi < inf, got {h_range}")
+    h_lo, h_hi = bounds.tolist()
     if not isinstance(h_samples, numbers.Integral) or h_samples < 3:
         raise InputError(f"h_samples must be an integer >= 3, got {h_samples!r}")
     return _refine(poly, spec_xy or default_grid_spec(poly), (h_lo, h_hi), h_samples,

@@ -171,6 +171,12 @@ def test_sweep_requires_heights(capsys):
         main(["sweep", TRAPEZOID])
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+    # a list with no height in it is an error too, for sweep and for verify
+    for command in ("sweep", "verify"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, TRAPEZOID, "--heights", ","])
+        assert exc.value.code == 2
+        assert "error: argument --heights: expected at least one height" in capsys.readouterr().err
 
 
 def test_sweep_exits_1_naming_unconverged_heights(tmp_path, capsys):

@@ -1,15 +1,18 @@
 import dataclasses
 import json
 import math
+import types
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
 from conecenter import (
     InputError,
+    SolverError,
     build_polygon,
     centroid,
     chebyshev_center,
@@ -340,6 +343,13 @@ def test_chebyshev_center_handles_negative_coordinates():
     shifted = [(x - 50.0, y - 50.0) for x, y in SQUARE]
     res = chebyshev_center(build_polygon(shifted))
     assert res.center == pytest.approx([-49.5, -49.5], abs=1e-8)
+
+
+def test_chebyshev_center_raises_when_the_linear_program_fails(monkeypatch):
+    failed = types.SimpleNamespace(success=False, message="the problem is infeasible")
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: failed)
+    with pytest.raises(SolverError, match="^Chebyshev linear program failed: the problem is infeasible$"):
+        chebyshev_center(build_polygon(SQUARE))
 
 
 def test_chebyshev_radius_is_maximal():

@@ -78,7 +78,7 @@ def test_tangential_centers_hold_from_flat_to_tall_cones():
 def test_thin_quadrilaterals_are_never_marked_converged_off_center():
     # rounding in the gradient moves the computed minimizer of a thin base
     # along its long axis; a solve may then end unconverged, but a converged
-    # one lies within tol * diameter of the center, and every solve ends
+    # one lies within TOL * diameter of the center, and every solve ends
     # long before the iteration cap.  ``turn`` rotates by atan(4/3) and
     # scales by 5 without rounding, so the long edges stay exactly parallel
     # off the axes.
@@ -293,14 +293,6 @@ def test_center_rejects_bad_arguments():
         center_at_height(TRAPEZOID, -1.0)
     with pytest.raises(InputError, match="^height must be finite and > 0"):
         center_at_height(TRAPEZOID, math.inf)
-    for tol in (0.0, math.inf, math.nan):
-        with pytest.raises(InputError, match="tol must be finite and > 0"):
-            center_at_height(TRAPEZOID, 1.0, tol=tol)
-    for tol in (-1e-3, math.inf):
-        with pytest.raises(InputError, match="tol must be finite and > 0"):
-            optimal_cone(TRAPEZOID, tol=tol)
-    [entry] = height_sweep(TRAPEZOID, [1.0], tol=math.inf)
-    assert entry.result is None and "tol must be finite" in entry.error
     for x0 in [(math.nan, 0.0), (math.inf, 0.0), (1.0, 0.0, 0.0)]:
         with pytest.raises(InputError, match="starting point must be a finite 2-D point"):
             center_at_height(TRAPEZOID, 1.0, x0=x0)
@@ -389,7 +381,7 @@ def test_optimal_height_is_a_root_of_the_height_derivative():
 
 def test_optimal_cone_flags_answers_it_cannot_certify():
     # the thin rectangle's certifying solve is stopped by gradient rounding
-    # along the long axis; on the shifted trapezoid tol * diameter (4.5e-10)
+    # along the long axis; on the shifted trapezoid TOL * diameter (4.5e-10)
     # is below the rounding of the position (ulp(1e7) = 1.9e-9)
     thin = build_polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1e-4), (0.0, 1e-4)])
     shifted = build_polygon(TRAPEZOID.vertices + 1e7)
@@ -401,6 +393,30 @@ def test_optimal_cone_flags_answers_it_cannot_certify():
     assert best.iterations <= 8
     assert best.center - 1e7 == pytest.approx([0.90405069, 0.0], abs=1e-8)
     assert best.height == pytest.approx(3.2502888, abs=1e-7)
+
+
+def test_optimal_cone_stops_when_no_damped_step_is_accepted(monkeypatch):
+    # every trial point is infinite and slopes uphill along the step as
+    # steeply as the start slopes down, so backtracking runs out; the
+    # certifying solve still runs, at the starting height
+    joint_model = optimize_module._joint_model
+    log_heights, start = [], []
+
+    def rejecting(poly, x, u):
+        log_heights.append(u)
+        if not start:
+            start.append(joint_model(poly, x, u))
+            return start[0]
+        _, grad, inverse, _ = start[0]
+        return math.inf, -grad, inverse, np.zeros(3)
+
+    monkeypatch.setattr(optimize_module, "_joint_model", rejecting)
+    best = optimal_cone(TRAPEZOID)
+    assert len(log_heights) > 1  # one start, then the rejected trials
+    assert best.converged is False and best.iterations == 0
+    [certified] = best.inner_results
+    assert isinstance(certified, CenterResult)
+    assert certified.height == best.height == math.exp(log_heights[0])
 
 
 def test_optimal_trapezoid_cone():
@@ -522,13 +538,13 @@ def test_joint_model_names_a_log_height_where_perimeter_times_height_overflows(u
         optimize_module._joint_model(TRAPEZOID, centroid(TRAPEZOID), u)
 
 
-def _replay_sweep(poly, heights, tol):
+def _replay_sweep(poly, heights):
     """Cold solves started where ``height_sweep`` should start them: at the
     center of the last converged solve, or the centroid before one."""
     start, replay = None, []
     for h in heights:
         try:
-            res = center_at_height(poly, h, tol=tol, x0=start)
+            res = center_at_height(poly, h, x0=start)
         except InputError:
             replay.append(None)
             continue
@@ -541,14 +557,14 @@ def _replay_sweep(poly, heights, tol):
 def test_height_sweep_entries_equal_their_warm_started_solves_bitwise():
     star = build_polygon(helpers.random_star_polygon(np.random.default_rng(101)))
     cases = [
-        (TRAPEZOID, [4.0, 1.0, -2.0, 0.25, 3.0, 7.0], 1e-10),
+        (TRAPEZOID, [4.0, 1.0, -2.0, 0.25, 3.0, 7.0]),
         # h/D = 1e-6 ends unconverged after a few steps on the U; it must not seed h = 3
-        (U_SHAPE, [1e-12 * U_SHAPE.diameter, 1.0, -2.0, 1e-6 * U_SHAPE.diameter, 3.0], 1e-10),
-        (star, list(np.geomspace(0.05, 20.0, 9)), 1e-8),
+        (U_SHAPE, [1e-12 * U_SHAPE.diameter, 1.0, -2.0, 1e-6 * U_SHAPE.diameter, 3.0]),
+        (star, list(np.geomspace(0.05, 20.0, 9))),
     ]
-    for poly, heights, tol in cases:
-        entries = height_sweep(poly, heights, tol=tol)
-        for entry, expected in zip(entries, _replay_sweep(poly, heights, tol), strict=True):
+    for poly, heights in cases:
+        entries = height_sweep(poly, heights)
+        for entry, expected in zip(entries, _replay_sweep(poly, heights), strict=True):
             if expected is None:
                 assert entry.result is None and entry.error is not None
                 continue
@@ -565,9 +581,9 @@ def test_height_sweep_seeds_only_from_converged_entries(monkeypatch):
     starts = []
     solve = optimize_module.center_at_height
 
-    def recording(poly, height, tol=1e-10, x0=None):
+    def recording(poly, height, x0=None):
         starts.append(None if x0 is None else np.array(x0))
-        return solve(poly, height, tol=tol, x0=x0)
+        return solve(poly, height, x0=x0)
 
     monkeypatch.setattr(optimize_module, "center_at_height", recording)
     d = U_SHAPE.diameter

@@ -1,5 +1,7 @@
 import importlib
 
+import pytest
+
 import conecenter
 
 MODULES = ("cone", "errors", "geometry", "optimize", "oracle")
@@ -13,3 +15,30 @@ def test_each_public_name_is_listed_by_exactly_one_module():
     for module in modules:
         for name in module.__all__:
             assert getattr(conecenter, name) is getattr(module, name)
+
+
+TRAPEZOID = conecenter.build_polygon([(0.0, -1.0), (2.0, -2.0), (2.0, 2.0), (0.0, 1.0)])
+
+# each entry point with one argument set to ``value``; None is a default for x0 and h_range
+NOT_A_NUMBER = {
+    "center_at_height height": lambda v: conecenter.center_at_height(TRAPEZOID, v),
+    "center_at_height x0": lambda v: conecenter.center_at_height(TRAPEZOID, 1.0, x0=(v, 0.0)),
+    "Apex height": lambda v: conecenter.Apex((0.0, 0.0), v),
+    "Apex projection": lambda v: conecenter.Apex(v, 1.0),
+    "phi": lambda v: conecenter.phi(v),
+    "build_polygon": lambda v: conecenter.build_polygon(v),
+    "build_polygon vertex": lambda v: conecenter.build_polygon([(v, 0.0), (1.0, 0.0), (0.0, 1.0)]),
+    "boundary_areas points": lambda v: conecenter.boundary_areas(TRAPEZOID, v, 1.0),
+    "boundary_areas height": lambda v: conecenter.boundary_areas(TRAPEZOID, [(0.0, 0.0)], v),
+    "GridSpec box": lambda v: conecenter.GridSpec(box=v),
+    "grid_min_ratio h_range": lambda v: conecenter.grid_min_ratio(TRAPEZOID, h_range=(v, 1.0)),
+}
+
+
+@pytest.mark.parametrize("value", ["abc", None])
+@pytest.mark.parametrize("entry_point", NOT_A_NUMBER)
+def test_arguments_that_are_not_numbers_raise_input_error(entry_point, value):
+    with pytest.raises(conecenter.InputError) as exc:
+        NOT_A_NUMBER[entry_point](value)
+    if entry_point.endswith("height") or entry_point == "phi":
+        assert str(exc.value).endswith(f"must be a number, got {value!r}")
