@@ -1,10 +1,11 @@
 """Command-line interface: polygon JSON in, centers and sweeps out.
 
-Results go to standard output (or ``--output``) as JSON with 12
-significant digits; ``sweep`` emits CSV by default.  Exit status is 0 on
-success; 1 on a solver failure, a failed ``verify`` check, or a ``sweep``
-height whose solve did not converge (its rows are still written); and 2
-on input errors, argparse's usage errors included.
+Results go to standard output as JSON with 12 significant digits, except
+``sweep``'s table, which is RFC 4180 CSV; heights get the library's own
+check and wording.  Exit status is 0 on success; 1 on a solver failure, a
+failed ``verify`` check, or a ``sweep`` height whose solve did not converge
+(its rows are still written); and 2 on input errors, argparse's usage
+errors included.
 """
 
 from __future__ import annotations
@@ -13,13 +14,12 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import cone, geometry, optimize, oracle
-from .errors import InputError, SolverError
+from .errors import InputError, SolverError, _positive_height
 
 SIGNIFICANT_DIGITS = 12
 SWEEP_COLUMNS = (
@@ -36,12 +36,9 @@ _VERIFY_PROBES = ((0.13, 0.07), (-0.21, 0.11), (0.05, -0.17))
 
 def _positive_float(text: str) -> float:
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not (value > 0.0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
-    return value
+        return _positive_height(text)
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _height_list(text: str) -> list[float]:
@@ -64,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_command(name, handler, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("polygon", help='path to a {"vertices": [[x, y], ...]} JSON file')
-        p.add_argument("--output", default=None, help="write the result here instead of stdout")
         p.set_defaults(handler=handler)
         return p
 
@@ -81,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("sweep", _cmd_sweep, "fixed-height centers over a list of heights")
     p.add_argument("--heights", type=_height_list, required=True, help="comma-separated heights")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = add_command("verify", _cmd_verify, "cross-check the solver against the grid oracle")
     p.add_argument(
@@ -106,14 +101,6 @@ def _jsonable(obj):
     if isinstance(obj, float):
         return float(f"{obj:.{SIGNIFICANT_DIGITS}g}")
     return obj
-
-
-def _emit(text: str, output) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
 
 
 def _json_result(payload):
@@ -184,18 +171,14 @@ def _cmd_sweep(poly, args):
                 cone.equal_angle_residual(poly, center, entry.height),
             )
         )
-    if args.format == "json":
-        text, _ = _json_result([dict(zip(SWEEP_COLUMNS, row)) for row in rows])
-    else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\r\n")
-        writer.writerow(SWEEP_COLUMNS)
-        writer.writerows([f"{value:.{SIGNIFICANT_DIGITS}g}" for value in row] for row in rows)
-        text = buffer.getvalue()
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\r\n")
+    writer.writerow(SWEEP_COLUMNS)
+    writer.writerows([f"{value:.{SIGNIFICANT_DIGITS}g}" for value in row] for row in rows)
     if unconverged:
         # the rows carry no convergence column, so the status and stderr say it
         print(f"error: sweep did not converge at h={', '.join(unconverged)}", file=sys.stderr)
-    return text, 1 if unconverged else 0
+    return buffer.getvalue(), 1 if unconverged else 0
 
 
 def _cmd_verify(poly, args):
@@ -252,7 +235,7 @@ def main(argv=None) -> int:
     try:
         poly = geometry.load_polygon(args.polygon)
         text, status = args.handler(poly, args)
-        _emit(text, args.output)
+        sys.stdout.write(text)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -260,7 +243,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return status
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -21,11 +21,12 @@ class SolverError(RuntimeError):
 
 
 def _floats(value) -> np.ndarray:
-    """``value`` as a float array, or a 0-d nan where it does not convert: every
-    caller's shape or finiteness check then raises its own InputError."""
+    """``value`` as a float array, or a 0-d nan where it does not convert (an
+    int beyond the float range included): every caller's shape or finiteness
+    check then raises its own InputError."""
     try:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return np.array(math.nan)
 
 
@@ -33,6 +34,8 @@ def _positive_height(height, what="height") -> float:
     """``float(height)``; InputError unless it is finite and > 0."""
     try:
         h = float(height)
+    except OverflowError:  # an int beyond the float range
+        h = math.inf
     except (TypeError, ValueError):
         raise InputError(f"{what} must be a number, got {height!r}") from None
     if not (h > 0.0 and math.isfinite(h)):

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, SolverError, _floats
+from .errors import InputError, SolverError
 
 __all__ = [
     "Polygon",
@@ -171,9 +171,11 @@ def build_polygon(points) -> Polygon:
         (the message names the first pair of edges that touch).
     """
     try:
-        verts = _floats(points)
+        verts = np.asarray(points, dtype=float)
     except OverflowError as exc:
         raise InputError(f"vertex coordinates are too large for a float: {exc}") from exc
+    except (TypeError, ValueError):
+        verts = np.array(math.nan)  # fails the shape check below
     if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
         raise InputError("a polygon needs at least three 2-D points")
     if not np.all(np.isfinite(verts)):
@@ -285,7 +287,7 @@ def polygon_from_json(text: str) -> Polygon:
     """Parse ``{"vertices": [[x, y], ...]}`` and build the polygon."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nested too deep for the parser
         raise InputError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or "vertices" not in data:
         raise InputError('polygon JSON must be an object with a "vertices" array')
@@ -301,6 +303,10 @@ def polygon_from_json(text: str) -> Polygon:
 
 
 def load_polygon(path) -> Polygon:
-    """Read a polygon JSON file from ``path``."""
+    """Read a UTF-8 polygon JSON file from ``path``."""
     with open(path, "r", encoding="utf-8") as handle:
-        return polygon_from_json(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"polygon file is not UTF-8: {exc}") from exc
+    return polygon_from_json(text)

@@ -316,6 +316,8 @@ def height_sweep(poly: Polygon, heights: Sequence) -> list[SweepEntry]:
     for height in heights:
         try:
             h = float(height)
+        except OverflowError:  # an int beyond the float range, failed below like inf
+            h = math.inf
         except (TypeError, ValueError):
             message = f"InputError: height must be a number, got {height!r}"
             entries.append(SweepEntry(math.nan, None, None, message))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import helpers
-from conecenter import Apex, boundary_area, load_polygon, signed_distances
+from conecenter import Apex, boundary_area, load_polygon, oracle, signed_distances
 from conecenter.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -158,14 +158,6 @@ def test_center_exits_1_where_the_boundary_area_overflows(capsys):
     assert err.startswith("error: boundary area at h=1e+308") and err.count("\n") == 1
 
 
-def test_sweep_json_format(capsys):
-    code, out, _ = run(capsys, "sweep", TRAPEZOID, "--heights", "1,2", "--format", "json")
-    assert code == 0
-    payload = json.loads(out)
-    assert [entry["h"] for entry in payload] == [1.0, 2.0]
-    assert set(payload[0]) == set(SWEEP_HEADER.split(","))
-
-
 def test_sweep_requires_heights(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", TRAPEZOID])
@@ -201,21 +193,21 @@ def test_verify_command_passes_on_bundled_fixtures(capsys):
         assert "all checks passed" in out
 
 
-def test_output_flag_writes_file_and_keeps_stdout_empty(tmp_path, capsys):
-    target = tmp_path / "result.json"
-    code, out, _ = run(capsys, "incenter", TRIANGLE, "--output", str(target))
-    assert code == 0
-    assert out == ""
-    payload = json.loads(target.read_text())
-    assert payload["radius"] == pytest.approx((2.0 - math.sqrt(2.0)) / 2.0, rel=1e-11)
+def test_verify_exits_1_naming_the_failed_check(monkeypatch, capsys):
+    real = oracle.grid_min_boundary
 
+    def off_by_a_thousandth(poly, height, spec):
+        point, value = real(poly, height, spec)
+        return point + [1e-3 * poly.diameter, 0.0], value
 
-def test_sweep_output_file_keeps_crlf(tmp_path, capsys):
-    target = tmp_path / "sweep.csv"
-    code, _, _ = run(capsys, "sweep", TRAPEZOID, "--heights", "1,2", "--output", str(target))
-    assert code == 0
-    raw = target.read_bytes()
-    assert raw.count(b"\r\n") == 3
+    monkeypatch.setattr(oracle, "grid_min_boundary", off_by_a_thousandth)
+    code, out, err = run(capsys, "verify", TRAPEZOID, "--heights", "1")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[0].startswith("PASS minimum value h=1: ")
+    assert lines[1].startswith("FAIL minimum point h=1: |oracle - solver| = 3.99")
+    assert lines[2].startswith("PASS gradient h=1: ")
+    assert lines[-1] == "some checks FAILED" and len(lines) == 4
 
 
 def test_repeated_runs_are_byte_identical(capsys):
@@ -236,10 +228,17 @@ def test_missing_file_exits_2(capsys):
 
 def test_malformed_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _, err = run(capsys, "centroid", str(bad))
-    assert code == 2
-    assert err != ""
+    triangle = b'{"vertices": [[0, 0], [1, 0], [0, 1]]}'
+    for content, message in (
+        (b"{not json", "error: invalid JSON: "),
+        (b"\xff\xfe" + triangle, "error: polygon file is not UTF-8: "),
+        (b"\xef\xbb\xbf" + triangle, "error: invalid JSON: "),  # a UTF-8 byte order mark
+        (b"[" * 100_000, "error: invalid JSON: maximum recursion depth exceeded"),
+    ):
+        bad.write_bytes(content)
+        code, out, err = run(capsys, "centroid", str(bad))
+        assert (code, out) == (2, ""), content[:8]
+        assert err.startswith(message) and err.count("\n") == 1, err
 
 
 def test_invalid_polygon_exits_2(tmp_path, capsys):
@@ -288,29 +287,42 @@ def test_chebyshev_on_nonconvex_exits_2(tmp_path, capsys):
 
 
 def test_nonpositive_height_rejected_by_argparse(capsys):
-    for argv in (
-        ["center", TRAPEZOID, "--height", "-1"],
-        ["center", TRAPEZOID, "--height", "abc"],
-        ["center", TRAPEZOID, "--height", "inf"],
-        ["sweep", TRAPEZOID, "--heights", "1,inf"],
+    # the library's check and wording, under argparse's "argument --height:" prefix
+    for argv, message in (
+        (["center", TRAPEZOID, "--height", "-1"], "height must be finite and > 0, got -1"),
+        (["center", TRAPEZOID, "--height", "abc"], "height must be a number, got 'abc'"),
+        (["center", TRAPEZOID, "--height", "inf"], "height must be finite and > 0, got inf"),
+        (["sweep", TRAPEZOID, "--heights", "1,inf"], "height must be finite and > 0, got inf"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "error:" in capsys.readouterr().err
+        option = argv[2]
+        assert capsys.readouterr().err.endswith(f"error: argument {option}: {message}\n")
+
+
+def run_module(*argv):
+    """``python -m conecenter`` in a child that imports the package from src/,
+    as pytest's pythonpath does; stdout and stderr as bytes."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "conecenter", *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def test_module_entry_point_runs():
-    # the child imports the package from src/, as pytest's pythonpath does
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "conecenter", "centroid", SQUARE],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = run_module("centroid", SQUARE)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["centroid"] == pytest.approx([0.5, 0.5])
+
+
+def test_sweep_writes_crlf_rows_to_stdout():
+    proc = run_module("sweep", TRAPEZOID, "--heights", "1,2")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.count(b"\r\n") == 3 and proc.stdout.endswith(b"\r\n")
+    assert proc.stdout.split(b"\r\n")[0] == SWEEP_HEADER.encode()
 
 
 def test_solving_commands_do_not_load_scipy():

@@ -508,6 +508,11 @@ def test_height_sweep_records_heights_that_are_not_numbers():
         assert entry.result is None and entry.ratio is None
         assert entry.error == f"InputError: height must be a number, got {shown}"
     assert numeric.error is None and numeric.result.converged
+    # an int too large for a float fails its entry like inf, not the whole sweep
+    huge, after = height_sweep(TRAPEZOID, [10**400, 1.0])
+    assert huge.height == math.inf and huge.result is None and huge.ratio is None
+    assert huge.error == "InputError: height must be finite and > 0, got inf"
+    assert after.error is None and after.result.converged
 
 
 def test_height_sweep_flags_ratios_beyond_the_float_range():

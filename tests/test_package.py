@@ -35,10 +35,15 @@ NOT_A_NUMBER = {
 }
 
 
-@pytest.mark.parametrize("value", ["abc", None])
+@pytest.mark.parametrize("value", ["abc", None, pytest.param(10**400, id="int-beyond-float")])
 @pytest.mark.parametrize("entry_point", NOT_A_NUMBER)
 def test_arguments_that_are_not_numbers_raise_input_error(entry_point, value):
     with pytest.raises(conecenter.InputError) as exc:
         NOT_A_NUMBER[entry_point](value)
     if entry_point.endswith("height") or entry_point == "phi":
-        assert str(exc.value).endswith(f"must be a number, got {value!r}")
+        if isinstance(value, int):  # a number, but not a finite float
+            assert str(exc.value).endswith(f"must be finite and > 0, got {value}")
+        else:
+            assert str(exc.value).endswith(f"must be a number, got {value!r}")
+    elif entry_point == "build_polygon vertex" and isinstance(value, int):
+        assert str(exc.value).startswith("vertex coordinates are too large for a float")
