@@ -74,26 +74,34 @@ def boundary_areas(poly: Polygon, points, height) -> np.ndarray:
     a few ulps: the slant rounds four times instead of once, and the batch
     distances and the sum over edges may round in another order.  Values
     beyond the float range are ``inf``, without a warning; a projection that
-    is not finite is an ``InputError``.
+    is not finite, or does not convert, is an ``InputError`` before any shape.
     """
     points = _floats(points)
     single = np.ndim(height) == 0
     h = np.array([_positive_height(x) for x in ([height] if single else height)])
     p = points[None] if single else points
+    axes, top = tuple(range(1, p.ndim)), poly._max_abs_offset
+    bound = np.maximum(p.max(axis=axes, initial=top), -p.min(axis=axes, initial=-top))
+    if not np.isfinite(bound).all():
+        raise InputError("apex projections must be finite")
     if p.ndim != 3 or p.shape[0] != len(h) or p.shape[2] != 2:
         expected = "(n, 2)" if single else f"({len(h)}, n, 2), one slab per height"
         raise InputError(f"points must have shape {expected}, got {points.shape}")
-    bound = np.maximum(np.abs(p).max(axis=(1, 2), initial=poly._max_abs_offset), h)
-    if not np.isfinite(bound).all():
-        raise InputError("apex projections must be finite")
+    return _kernel(poly, p, h, np.maximum(bound, h))[0].reshape(points.shape[:-1])
+
+
+def _kernel(poly: Polygon, p, h, bound, keep=False):
+    """:func:`boundary_areas` on checked ``(k, n, 2)`` projections: the areas ``(k, n)``,
+    the distances and slants ``(k, m, n)`` scaled by ``2**-e``, and ``e``.  The
+    distances are kept apart from the slants, at the cost of a copy, only with ``keep``."""
     e = np.frexp(bound)[1] + 2
     d = signed_distances(poly, p).swapaxes(1, 2)
     d *= np.ldexp(1.0, -e)[:, None, None]
-    d *= d
-    d += (np.ldexp(h, -e) ** 2)[:, None, None]
-    np.sqrt(d, out=d)
+    s = np.multiply(d, d, out=None if keep else d)
+    s += (np.ldexp(h, -e) ** 2)[:, None, None]
+    np.sqrt(s, out=s)
     with np.errstate(over="ignore"):
-        return (poly.area + np.ldexp(poly._half_lengths @ d, e[:, None])).reshape(points.shape[:-1])
+        return poly.area + np.ldexp(poly._half_lengths @ s, e[:, None]), d, s, e
 
 
 def cone_volume(poly: Polygon, height) -> float:

@@ -30,14 +30,19 @@ def _floats(value) -> np.ndarray:
         return np.array(math.nan)
 
 
-def _positive_height(height, what="height") -> float:
-    """``float(height)``; InputError unless it is finite and > 0."""
+def _number(value, what="height") -> float:
+    """``float(value)``, inf for an int beyond the float range; InputError if not a number."""
     try:
-        h = float(height)
-    except OverflowError:  # an int beyond the float range
-        h = math.inf
+        return float(value)
+    except OverflowError:
+        return math.inf
     except (TypeError, ValueError):
-        raise InputError(f"{what} must be a number, got {height!r}") from None
+        raise InputError(f"{what} must be a number, got {value!r}") from None
+
+
+def _positive_height(height, what="height") -> float:
+    """:func:`_number`; InputError unless it is finite and > 0."""
+    h = _number(height, what)
     if not (h > 0.0 and math.isfinite(h)):
         raise InputError(f"{what} must be finite and > 0, got {height}")
     return h

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cone import OPTIMAL_HEIGHT_RATIO, _boundary, _ratio
-from .errors import InputError, SolverError, _finite_point, _positive_height
+from .errors import InputError, SolverError, _finite_point, _number, _positive_height
 from .geometry import Polygon, centroid, signed_distances, triangle_incenter
 
 __all__ = [
@@ -314,15 +314,9 @@ def height_sweep(poly: Polygon, heights: Sequence) -> list[SweepEntry]:
     entries: list[SweepEntry] = []
     start = None
     for height in heights:
+        h = math.nan  # the entry's height where it is not a number; inf for an int beyond the float range
         try:
-            h = float(height)
-        except OverflowError:  # an int beyond the float range, failed below like inf
-            h = math.inf
-        except (TypeError, ValueError):
-            message = f"InputError: height must be a number, got {height!r}"
-            entries.append(SweepEntry(math.nan, None, None, message))
-            continue
-        try:
+            h = _number(height)
             result = center_at_height(poly, h, x0=start)
             ratio = _ratio(poly, result.boundary_area, h)
         except (InputError, SolverError) as exc:

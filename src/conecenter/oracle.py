@@ -1,12 +1,12 @@
-"""Brute-force grid oracle, independent of the solvers.
-
-The oracle only calls the cone evaluators and refines a rectangular grid
-around the incumbent best point, so it cross-checks the solver's
-results without sharing any of its machinery.
+"""Grid oracle, independent of the solvers: it refines a rectangular grid
+around the incumbent best point with the cone kernel alone.  Each round skips
+the tiles whose convex lower bound, less a rounding allowance, cannot reach
+the least value, so it returns what a scan of every grid point would.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -14,7 +14,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .cone import _ratio, boundary_areas
+from .cone import _kernel, _ratio, boundary_areas
 from .errors import InputError, SolverError, _finite_point, _floats, _positive_height
 from .geometry import Polygon
 
@@ -69,32 +69,61 @@ def default_grid_spec(poly: Polygon) -> GridSpec:
     return GridSpec(box=(tuple(lower - pad), tuple(upper + pad)))
 
 
+def _tile_bounds(poly: Polygon, centers, h, rho):
+    """Boundary areas ``B(c)`` at ``centers`` and heights ``h``; lower bounds of ``B``
+    within ``rho`` of them, ``B(c) - |grad B(c)| rho`` as ``B`` is convex, less an
+    allowance for rounding; and the allowance, ``16 eps (2 B(c) + P bound + rho
+    (P + bound sum_i a_i / (2 s_i)))`` with ``bound`` the kernel's scale."""
+    bound = np.maximum(np.abs(centers).max(initial=poly._max_abs_offset), h)[:, None]
+    value, d, s, e = _kernel(poly, np.broadcast_to(centers, (len(h), *centers.shape)), h, bound[:, 0], True)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        grad = (poly.normals.T * poly._half_lengths) @ (d / s)
+        inverse = np.ldexp(poly._half_lengths @ (1.0 / s), -e[:, None])  # sum_i a_i / (2 s_i)
+        allowance = 2.0**-48 * (2.0 * value + poly.perimeter * (bound + rho) + rho * bound * inverse)  # 16 eps
+        return value, value - np.hypot(grad[:, 0], grad[:, 1]) * rho - allowance, allowance
+
+
 def _refine(poly: Polygon, spec: GridSpec, h_range, samples, score):
     """The refinement scan of ``spec`` over projection and height together.
 
-    Each round builds one grid over the current box, with axes ``np.linspace``
-    bit for bit unless a step underflows, and evaluates it at ``samples``
-    heights spread over the current height interval in one
-    :func:`boundary_areas` call (more where its distances would pass 32 MiB).
-    The point and height of least ``score(boundary, height)`` so far re-center
-    the box and the interval, each shrunk by the zoom and clipped into its
-    declared range.  Returns ``(point, height, score)``.
+    Each round spans a grid over the current box, axes ``np.linspace`` bit for
+    bit unless a step underflows, at ``samples`` heights over the current
+    interval.  One :func:`boundary_areas` call (more past 32 MiB of distances)
+    scans the index rectangle of the tiles, 8 points a side, whose
+    :func:`_tile_bounds` do not exceed (or are nan) the least center value at
+    some height; its x-major ``argmin`` is a full scan's.  BLAS sums a lone
+    point and the last ``len % 4`` of a call in another order, so tiles are a
+    multiple of 4, the last taking the rest.  A round that keeps over 3/4 of
+    the grid ends the pruning, which costs more than it saves.  The best
+    ``score(boundary, height)`` re-centers the box and the interval, each
+    zoomed and clipped into its range.  Returns ``(point, height, score)``.
     """
     bound_lo, bound_hi = (np.asarray(side, dtype=float) for side in spec.box)
     (h_lo, h_hi), lower, upper, r = h_range, bound_lo, bound_hi, spec.resolution
-    c = max(1, 2**22 // (len(poly.lengths) * r * r))  # heights per call: <= 32 MiB of distances
+    starts = np.arange(max(r // 8, 1)) * 8  # tiles
+    ends = np.append(starts[1:], r)
+    mid = (starts + ends - 1) // 2  # centers: a tile's farthest point is ends - 1 - mid steps away
     # x-major layout so np.argmin's first hit is the lexicographic least
-    points = np.empty((r * r, 2))
-    grid = points.reshape(r, r, 2)
-    best = (None, math.nan, math.inf)
+    grid = np.empty((r, r, 2))
+    best, prune = (None, math.nan, math.inf), True
     for _ in range(spec.refine_rounds + 1):
-        axes = np.arange(r) * ((upper - lower) / (r - 1))[:, None] + lower[:, None]
+        step = (upper - lower) / (r - 1)
+        axes = np.arange(r) * step[:, None] + lower[:, None]
         axes[:, -1] = upper
         grid[..., 0], grid[..., 1] = axes[0, :, None], axes[1, None, :]
         heights = np.linspace(h_lo, h_hi, samples).tolist()
-        values = np.concatenate([boundary_areas(poly, np.broadcast_to(points, (len(hs), r * r, 2)), hs)
-                                 for hs in (heights[i:i + c] for i in range(0, samples, c))])
-        for h, row in zip(heights, values):
+        rows = cols = [0, -1]  # every tile, unless the tile bounds drop some
+        if prune:
+            rho = np.hypot(*np.ix_((ends - 1 - mid) * step[0], (ends - 1 - mid) * step[1])).ravel()
+            center, lb, _ = _tile_bounds(poly, grid[np.ix_(mid, mid)].reshape(-1, 2), np.array(heights), rho)
+            kept = ~(lb > center.min(axis=1, keepdims=True)).all(axis=0).reshape(len(mid), -1)
+            rows, cols = np.flatnonzero(kept.any(axis=1)), np.flatnonzero(kept.any(axis=0))
+        points = grid[starts[rows[0]]:ends[rows[-1]], starts[cols[0]]:ends[cols[-1]]].reshape(-1, 2)
+        prune = 4 * len(points) <= 3 * r * r
+        c = max(1, 2**22 // (len(poly.lengths) * len(points)))  # heights per call: <= 32 MiB of distances
+        calls = (boundary_areas(poly, np.broadcast_to(points, (len(hs), len(points), 2)), hs)
+                 for hs in (heights[i:i + c] for i in range(0, samples, c)))
+        for h, row in zip(heights, itertools.chain.from_iterable(calls)):
             j = row.argmin()
             value = score(float(row[j]), h)
             if value < best[2]:
@@ -126,10 +155,8 @@ def grid_min_boundary(poly: Polygon, height, spec: GridSpec | None = None):
 def grid_min_ratio(poly: Polygon, spec_xy: GridSpec | None = None, h_range=None, h_samples=33):
     """Grid minimum of ``boundary**3 / volume**2`` over projection and height.
 
-    Refines projection and height together: each round scans one grid of
-    ``spec_xy`` at ``h_samples`` heights spread over the height interval,
-    then re-centers the box and the interval on the best point and height
-    and shrinks both with the same zoom schedule, as
+    Each round scans one grid of ``spec_xy`` at ``h_samples`` heights, then zooms
+    the box and the height interval around the best point and height, as
     :func:`grid_min_boundary` does at one height.  ``h_range`` defaults to
     ``(0.05, 10) * 2 * area / perimeter``, around the scale of the optimal
     height.  Ties go to the lower height, then to the lexicographically

@@ -99,10 +99,16 @@ def regular_polygon(m, center, radius) -> np.ndarray:
 
 
 def random_star_polygon(rng, n=8, r_min=1.0, r_max=5.0) -> np.ndarray:
-    """Simple, generally nonconvex polygon, star-shaped about the origin."""
+    """Simple, generally nonconvex polygon, star-shaped about the origin.
+
+    Every gap between neighbouring vertex angles, the wrap-around gap
+    included, is at least 0.05 and below pi: an edge across a gap of pi or
+    more does not stay in its own sector and can cross the others.
+    """
     while True:
         angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=n))
-        if np.min(np.diff(angles)) < 0.05:
+        gaps = np.diff(np.append(angles, angles[0] + 2.0 * np.pi))
+        if gaps.min() < 0.05 or gaps.max() >= np.pi:
             continue
         radii = rng.uniform(r_min, r_max, size=n)
         verts = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])

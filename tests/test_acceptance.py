@@ -14,6 +14,7 @@ the mathematics.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,8 +33,10 @@ from conecenter import (
     equal_angle_residual,
     finite_diff_gradient,
     grid_min_boundary,
+    grid_min_ratio,
     height_sweep,
     isoperimetric_ratio,
+    load_polygon,
     optimal_cone,
     phi,
     signed_distances,
@@ -41,6 +44,7 @@ from conecenter import (
 )
 
 TRAPEZOID = build_polygon([(0.0, -1.0), (2.0, -2.0), (2.0, 2.0), (0.0, 1.0)])
+POLYGONS = Path(__file__).resolve().parent.parent / "polygons"
 SWEEP_HEIGHTS = [1.0, 2.0, 3.0, 4.0]
 PUBLISHED_XI = [0.9169, 0.9079, 0.9045, 0.9031]
 ORACLE_HEIGHTS = (0.3, 1.0, 3.0)
@@ -316,4 +320,39 @@ def test_criterion_10_invariances():
         worst_ratio <= 1e-10 and worst_area <= 1e-12,
         f"worst ratio rel change {worst_ratio:.3e} (tol 1e-10), "
         f"worst area rel change {worst_area:.3e} (tol 1e-12)",
+    )
+
+
+def test_criterion_11_grid_oracle_finds_the_optimal_cone():
+    rng = np.random.default_rng(1011)
+    right_trapezoid = [(0.0, 0.0), (1.0, 0.0), (1.0, 2e-3), (0.0, 1e-3)]  # aspect ratio 1e3
+    bases = {path.stem: load_polygon(path) for path in sorted(POLYGONS.glob("*.json"))}
+    bases["convex"] = build_polygon(helpers.random_convex_polygon(rng))
+    bases["star"] = build_polygon(helpers.random_star_polygon(rng))
+    bases["U"] = build_polygon([(0, 0), (4, 0), (4, 3), (3, 3), (3, 1), (1, 1), (1, 3), (0, 3)])
+    bases["turned right trapezoid"] = build_polygon(
+        helpers.rotate_translate(right_trapezoid, math.atan2(4.0, 3.0), (3.1, -0.7)))
+    worst = {"ratio": (0.0, ""), "point": (0.0, ""), "height": (0.0, "")}
+    unconverged = []
+    for name, poly in bases.items():
+        best = optimal_cone(poly)
+        if not best.converged:
+            unconverged.append(name)
+        point, height, value = grid_min_ratio(poly)
+        spec = default_grid_spec(poly)
+        scale = 2.0 * poly.area / poly.perimeter  # grid_min_ratio's default range and 33 samples
+        h_step = (10.0 - 0.05) * scale / (32 * spec.refine_zoom**spec.refine_rounds)
+        for key, err in (("ratio", abs(value - best.ratio) / best.ratio),
+                         ("point", np.linalg.norm(point - best.center) / spec.final_resolution()),
+                         ("height", abs(height - best.height) / h_step)):
+            worst[key] = max(worst[key], (err, name))
+    check(
+        11,
+        f"grid_min_ratio matches optimal_cone on {len(bases)} bases (bundled, convex, star, U, thin turned)",
+        worst["ratio"][0] <= 1e-6 and worst["point"][0] <= 10.0 and worst["height"][0] <= 10.0
+        and not unconverged,
+        f"worst ratio rel diff {worst['ratio'][0]:.3e} on {worst['ratio'][1]} (tol 1e-6), worst point "
+        f"{worst['point'][0]:.2f} final grid steps on {worst['point'][1]} (tol 10), worst height "
+        f"{worst['height'][0]:.2f} final height steps on {worst['height'][1]} (tol 10); "
+        f"unconverged solves: {unconverged or 'none'}",
     )

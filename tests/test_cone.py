@@ -130,6 +130,14 @@ def test_boundary_areas_rejects_projections_that_are_not_finite(bad):
             boundary_areas(TRAPEZOID, points, height)
 
 
+def test_boundary_areas_names_finiteness_before_shape():
+    # an int beyond the float range does not convert, and used to be reported
+    # as "points must have shape (n, 2), got ()"
+    for points in ([(10**400, 0)], [[0.5, math.inf, 0.0]], [[[math.nan, 0.0, 0.0]]]):
+        with pytest.raises(InputError, match="^apex projections must be finite$"):
+            boundary_areas(TRAPEZOID, points, 1.0)
+
+
 # Heights 300 decades apart: one exponent shared by the batch would scale the
 # low slabs' distances and heights to zero (the 1e-300 slab came back as the
 # base area alone), so each slab takes its own.

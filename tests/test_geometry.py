@@ -384,6 +384,15 @@ def test_centroid_matches_vertex_mean_for_triangles():
         assert centroid(build_polygon(verts)) == pytest.approx(verts.mean(axis=0), rel=1e-10)
 
 
+def test_random_star_polygons_are_simple():
+    # the 14th draw of seed 9, alternating convex and star bases, crossed
+    # itself while the wrap-around gap between vertex angles went unchecked
+    rng = np.random.default_rng(9)
+    for i in range(30):
+        verts = (helpers.random_star_polygon if i % 2 else helpers.random_convex_polygon)(rng)
+        build_polygon(verts)  # InputError unless simple
+
+
 def test_interior_test_matches_ray_casting():
     rng = np.random.default_rng(17)
     for maker in (helpers.random_convex_polygon, helpers.random_star_polygon):

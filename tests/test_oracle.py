@@ -8,6 +8,7 @@ from conecenter import (
     GridSpec,
     InputError,
     SolverError,
+    boundary_areas,
     build_polygon,
     center_at_height,
     default_grid_spec,
@@ -100,22 +101,28 @@ def test_more_refinement_rounds_never_worsen_the_minimum():
 
 def test_grid_scan_never_leaves_the_declared_box(monkeypatch):
     box = ((1.5, -0.25), (1.9, 0.25))
-    spec = GridSpec(box=box, resolution=21, refine_rounds=4)
-    seen = []
-    true_eval = oracle_module.boundary_areas
+    spec = GridSpec(box=box, resolution=41, refine_rounds=4)
+    seen, centers = [], []
+    true_eval, true_bounds = oracle_module.boundary_areas, oracle_module._tile_bounds
 
     def recording(poly, points, h):
         seen.append(np.array(points, dtype=float))
         return true_eval(poly, points, h)
 
+    def recording_bounds(poly, points, h, rho):
+        centers.append(np.array(points, dtype=float))
+        return true_bounds(poly, points, h, rho)
+
     monkeypatch.setattr(oracle_module, "boundary_areas", recording)
+    monkeypatch.setattr(oracle_module, "_tile_bounds", recording_bounds)
     point, _ = grid_min_boundary(TRAPEZOID, 1.0, spec)
     ratio_point, height, _ = grid_min_ratio(TRAPEZOID, spec, h_range=(0.5, 8.0), h_samples=5)
     rounds = spec.refine_rounds + 1
-    assert len(seen) == rounds + rounds  # one call per round, all heights at once
+    assert len(seen) == rounds + rounds  # one kernel call per round, all heights at once
+    assert min(batch.shape[1] for batch in seen) < 41 * 41  # tiles were dropped
     lo = np.array(box[0])
     hi = np.array(box[1])
-    for batch in seen:
+    for batch in seen + centers:  # the scanned rectangles and the tile centers
         assert np.all(batch >= lo - 1e-12)
         assert np.all(batch <= hi + 1e-12)
     # the unconstrained minimizers sit left of the box, so both scans pin x
@@ -125,27 +132,56 @@ def test_grid_scan_never_leaves_the_declared_box(monkeypatch):
     assert 0.5 <= height <= 8.0
 
 
-def test_grid_axes_are_linspace_bit_for_bit(monkeypatch):
-    box = ((-0.3, -1.7), (2.9, 1.1))
-    spec = GridSpec(box=box, resolution=23, refine_rounds=3)
-    seen = []
+def keep_every_tile(poly, centers, h, rho):
+    """A stand-in for oracle._tile_bounds under which no tile is dropped, so
+    every round scans its whole grid."""
+    shape = (len(h), len(centers))
+    return np.zeros(shape), np.full(shape, -np.inf), np.zeros(shape)
+
+
+def recorded_scan(monkeypatch, scan, prune=True):
+    """The points of every kernel call of ``scan()`` and its result."""
+    calls = []
     true_eval = oracle_module.boundary_areas
 
     def recording(poly, points, h):
-        seen.append(np.array(points, dtype=float).reshape(len(h), 23, 23, 2))
+        calls.append(np.array(points, dtype=float))
         return true_eval(poly, points, h)
 
-    monkeypatch.setattr(oracle_module, "boundary_areas", recording)
-    grid_min_ratio(TRAPEZOID, spec, h_samples=3)
-    assert len(seen) == spec.refine_rounds + 1
-    for grids in seen[0]:  # the declared box, at every height
-        assert grids[:, 0, 0].tobytes() == np.linspace(box[0][0], box[1][0], 23).tobytes()
-        assert grids[0, :, 1].tobytes() == np.linspace(box[0][1], box[1][1], 23).tobytes()
-    for grids in (g for batch in seen for g in batch):  # every box: an x-major product grid
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle_module, "boundary_areas", recording)
+        if not prune:
+            patch.setattr(oracle_module, "_tile_bounds", keep_every_tile)
+        return calls, scan()
+
+
+def test_grid_axes_are_linspace_bit_for_bit(monkeypatch):
+    box = ((-0.3, -1.7), (2.9, 1.1))
+    r = 41
+    spec = GridSpec(box=box, resolution=r, refine_rounds=3)
+    full, full_result = recorded_scan(monkeypatch, lambda: grid_min_ratio(TRAPEZOID, spec, h_samples=3), False)
+    assert len(full) == spec.refine_rounds + 1
+    for grids in full[0].reshape(3, r, r, 2):  # the declared box, at every height
+        assert grids[:, 0, 0].tobytes() == np.linspace(box[0][0], box[1][0], r).tobytes()
+        assert grids[0, :, 1].tobytes() == np.linspace(box[0][1], box[1][1], r).tobytes()
+    for grids in (g for batch in full for g in batch.reshape(-1, r, r, 2)):  # every box: an x-major product grid
         x, y = grids[:, 0, 0], grids[0, :, 1]
-        assert x.tobytes() == np.linspace(x[0], x[-1], 23).tobytes()
-        assert y.tobytes() == np.linspace(y[0], y[-1], 23).tobytes()
+        assert x.tobytes() == np.linspace(x[0], x[-1], r).tobytes()
+        assert y.tobytes() == np.linspace(y[0], y[-1], r).tobytes()
         assert np.array_equal(grids, np.stack(np.meshgrid(x, y, indexing="ij"), axis=-1))
+    # with tiles dropped, each round scans an index rectangle of the same grid
+    pruned, result = recorded_scan(monkeypatch, lambda: grid_min_ratio(TRAPEZOID, spec, h_samples=3))
+    assert [len(batch) for batch in pruned] == [3] * len(full)
+    assert min(batch.shape[1] for batch in pruned) < r * r
+    for rectangle, grid in zip(pruned, full):
+        grid = grid[0].reshape(r, r, 2)
+        i0 = int(np.flatnonzero(grid[:, 0, 0] == rectangle[0, 0, 0])[0])
+        j0 = int(np.flatnonzero(grid[0, :, 1] == rectangle[0, 0, 1])[0])
+        ny = int(np.count_nonzero(rectangle[0, :, 0] == rectangle[0, 0, 0]))
+        nx = rectangle.shape[1] // ny
+        assert rectangle[0].tobytes() == grid[i0:i0 + nx, j0:j0 + ny].tobytes()
+        assert all(np.array_equal(slab, rectangle[0]) for slab in rectangle)
+    assert result[0].tobytes() == full_result[0].tobytes() and result[1:] == full_result[1:]
 
 
 def nested_ratio_scan(poly, spec, h_range, h_samples):
@@ -190,18 +226,17 @@ def test_grid_min_ratio_matches_the_nested_scan(vertices):
 
 def test_lockstep_scan_splits_large_batches(monkeypatch):
     # the library default: 33 heights x 4 edges x 201**2 points would hold 43 MB of
-    # distances at once; each call holds at most 2**22 of them (32 MiB), 25 heights here
-    sizes = []
-    true_eval = oracle_module.boundary_areas
-
-    def recording(poly, points, h):
-        sizes.append(len(h))
-        return true_eval(poly, points, h)
-
-    monkeypatch.setattr(oracle_module, "boundary_areas", recording)
-    point, height, value = grid_min_ratio(TRAPEZOID)
+    # distances at once; each call holds at most 2**22 of them (32 MiB), 25 heights
+    # of the whole grid, and the smaller rectangles of a pruned scan take more heights
+    m = len(TRAPEZOID.lengths)
+    full, full_result = recorded_scan(monkeypatch, lambda: grid_min_ratio(TRAPEZOID), False)
     spec = default_grid_spec(TRAPEZOID)
-    assert sizes == [25, 8] * (spec.refine_rounds + 1)
+    assert [len(batch) for batch in full] == [25, 8] * (spec.refine_rounds + 1)
+    pruned, result = recorded_scan(monkeypatch, lambda: grid_min_ratio(TRAPEZOID))
+    assert all(batch.size // 2 * m <= 2**22 for batch in pruned)
+    assert len(pruned) == spec.refine_rounds + 1  # each rectangle fits in one call
+    assert result[0].tobytes() == full_result[0].tobytes() and result[1:] == full_result[1:]
+    point, height, value = result
     best = optimal_cone(TRAPEZOID)
     scale = 2.0 * TRAPEZOID.area / TRAPEZOID.perimeter
     h_step = (10.0 - 0.05) * scale / (32 * spec.refine_zoom**spec.refine_rounds)
@@ -231,15 +266,36 @@ def test_grid_min_ratio_names_a_height_where_the_ratio_leaves_the_float_range(h_
         grid_min_ratio(TRAPEZOID, spec, h_range=h_range, h_samples=3)
 
 
-def test_flat_objective_ties_break_to_lower_left_corner(monkeypatch):
+def flat_scan_point(monkeypatch, others, first):
+    """``grid_min_boundary``'s point on an objective that is 0 everywhere, when
+    every tile's bound is ``others`` but the first's, ``first``, and the last's,
+    nan.  The least center value is 0: a tile is dropped only when its bound is
+    above it, so a bound equal to it, or nan, keeps the tile."""
+    def bounds(poly, centers, h, rho):
+        lower = np.full((len(h), len(centers)), others)
+        lower[:, 0], lower[:, -1] = first, math.nan
+        return np.zeros_like(lower), lower, np.zeros_like(lower)
+
     monkeypatch.setattr(
         oracle_module, "boundary_areas", lambda poly, points, h: np.zeros(np.shape(points)[:-1])
     )
-    spec = GridSpec(box=((-2.0, 3.0), (4.0, 7.0)), resolution=11, refine_rounds=3)
+    monkeypatch.setattr(oracle_module, "_tile_bounds", bounds)
+    spec = GridSpec(box=((-2.0, 3.0), (4.0, 7.0)), resolution=41, refine_rounds=3)
     point, value = grid_min_boundary(TRAPEZOID, 1.0, spec)
+    assert value == 0.0
+    return point
+
+
+def test_flat_objective_ties_break_to_lower_left_corner(monkeypatch):
+    point = flat_scan_point(monkeypatch, 0.0, 0.0)
     assert point[0] == -2.0
     assert point[1] == 3.0
-    assert value == 0.0
+
+
+def test_tiles_whose_bound_is_nan_are_kept(monkeypatch):
+    point = flat_scan_point(monkeypatch, 1.0, math.nan)
+    assert point[0] == -2.0
+    assert point[1] == 3.0
 
 
 def test_grid_min_ratio_argument_validation():
@@ -315,3 +371,104 @@ def test_finite_diff_gradient_rejects_bad_step():
     for step in (math.inf, math.nan):  # inf used to give [nan, nan]
         with pytest.raises(InputError, match="^step must be finite and > 0"):
             finite_diff_gradient(lambda p: 0.0, (0.0, 0.0), step)
+
+
+def full_scan(poly, spec, h_range, samples, score):
+    """The refinement scan without tile pruning: every point of every round's
+    grid, one height per boundary_areas call."""
+    bound_lo, bound_hi = (np.array(side) for side in spec.box)
+    (h_lo, h_hi), lower, upper = h_range, bound_lo, bound_hi
+    best = (None, math.nan, math.inf)
+    for _ in range(spec.refine_rounds + 1):
+        axes = (np.linspace(lo, hi, spec.resolution) for lo, hi in zip(lower, upper))
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+        for h in np.linspace(h_lo, h_hi, samples).tolist():
+            row = boundary_areas(poly, grid, h)
+            j = row.argmin()
+            if score(float(row[j]), h) < best[2]:
+                best = (grid[j], h, score(float(row[j]), h))
+        if best[0] is None:  # no finite value
+            return best
+        extent, h_extent = (upper - lower) / spec.refine_zoom, (h_hi - h_lo) / spec.refine_zoom
+        lower = np.clip(best[0] - 0.5 * extent, bound_lo, bound_hi - extent)
+        upper = lower + extent
+        h_lo = min(max(best[1] - 0.5 * h_extent, h_range[0]), h_range[1] - h_extent)
+        h_hi = h_lo + h_extent
+    return best
+
+
+def ratio(poly, boundary, h):
+    q = boundary / poly.area / h
+    return 9.0 * (boundary * q * q)
+
+
+def turned(vertices):
+    return helpers.rotate_translate(vertices, math.atan2(4.0, 3.0), (3.1, -0.7))
+
+
+# Bases whose tile bounds are hard: stars, the U, thin rectangles on the axes
+# and turned, a turned thin right trapezoid (aspect ratio 1e3), and the
+# trapezoid far from the origin or at extreme scales
+RECTANGLES = [[(0, 0), (1, 0), (1, 1 / ar), (0, 1 / ar)] for ar in (1e2, 1e4, 1e6)]
+STRESS = [build_polygon(v) for v in [
+    *(helpers.random_star_polygon(np.random.default_rng(seed)) for seed in (31, 32)),
+    [(0, 0), (4, 0), (4, 3), (3, 3), (3, 1), (1, 1), (1, 3), (0, 3)],
+    *RECTANGLES,
+    *map(turned, RECTANGLES),
+    turned([(0, 0), (1, 0), (1, 2e-3), (0, 1e-3)]),
+    TRAPEZOID.vertices + 1e7,
+    TRAPEZOID.vertices * 1e-150,
+    TRAPEZOID.vertices * 1e150,
+]]
+STRESS_HEIGHTS = (1e-12, 1e-3, 1.0, 1e9)  # times the diameter
+
+
+@pytest.mark.parametrize("resolution", [23, 41, 201])
+def test_pruned_scans_equal_full_scans_bitwise(resolution):
+    for i, poly in enumerate(STRESS):
+        spec = GridSpec(box=default_grid_spec(poly).box, resolution=resolution)
+        for h in (f * poly.diameter for f in STRESS_HEIGHTS):
+            expected = full_scan(poly, spec, (h, h), 1, lambda b, _: b)
+            if expected[0] is None:  # the 1e150 base at h = 1e9 * diameter: every area overflows
+                with pytest.raises(SolverError, match="not finite anywhere"):
+                    grid_min_boundary(poly, h, spec)
+                continue
+            point, value = grid_min_boundary(poly, h, spec)
+            assert (point.tobytes(), value) == (expected[0].tobytes(), expected[2]), (i, h)
+        if resolution < 201:
+            scale = 2.0 * poly.area / poly.perimeter
+            point, height, value = grid_min_ratio(poly, spec, h_samples=5)
+            expected = full_scan(poly, spec, (0.05 * scale, 10.0 * scale), 5, lambda b, h: ratio(poly, b, h))
+            assert (point.tobytes(), height, value) == (expected[0].tobytes(), *expected[1:]), i
+
+
+def test_tile_bound_allowance_covers_the_rounding():
+    # On every 8 x 8 tile of 201**2 grids around the grid minimum, zoomed 1, 5**3 and
+    # 5**6 times, the computed areas stay above the center's computed bound less the
+    # allowance: the bound uses at most a small share of the allowance
+    starts = np.arange(25) * 8
+    ends = np.append(starts[1:], 201)
+    mid = (starts + ends - 1) // 2
+    worst = 0.0
+    for poly in STRESS:
+        spec = default_grid_spec(poly)
+        extent = np.subtract(*spec.box[::-1])
+        for h in (f * poly.diameter for f in STRESS_HEIGHTS):
+            if h * poly.perimeter > 1e308:
+                continue
+            center, _ = grid_min_boundary(poly, h, spec)
+            for zoom in (1.0, 5.0**3, 5.0**6):
+                x, y = (np.linspace(c - e / 2, c + e / 2, 201) for c, e in zip(center, extent / zoom))
+                grid = np.stack(np.meshgrid(x, y, indexing="ij"), axis=-1)
+                areas = boundary_areas(poly, grid.reshape(-1, 2), h).reshape(201, 201)
+                tile_min = np.minimum.reduceat(np.minimum.reduceat(areas, starts, 0), starts, 1).ravel()
+                centers = grid[np.ix_(mid, mid)].reshape(-1, 2)
+                # a tile's farthest point from its center: a corner
+                rx, ry = (np.maximum(v[mid] - v[starts], v[ends - 1] - v[mid]) for v in (x, y))
+                rho = np.hypot(rx[:, None], ry[None, :]).ravel()
+                _, lower, allowance = oracle_module._tile_bounds(poly, centers, np.array([h]), rho)
+                with np.errstate(invalid="ignore"):
+                    used = (lower[0] + allowance[0] - tile_min) / allowance[0]
+                assert not np.any(used > 1.0)
+                worst = max(worst, float(np.nanmax(used)))
+    assert worst <= 0.1  # the measured worst is 0.026
