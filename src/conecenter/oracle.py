@@ -6,7 +6,6 @@ the least value, so it returns what a scan of every grid point would.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -25,6 +24,11 @@ __all__ = [
     "grid_min_ratio",
     "finite_diff_gradient",
 ]
+
+
+def _integer(value, least) -> bool:
+    """Whether ``value`` is an integer, and not a bool, of at least ``least``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
 @dataclass(frozen=True)
@@ -49,9 +53,9 @@ class GridSpec:
             raise InputError("grid box must be two finite 2-D corner points")
         if not np.all(box[1] > box[0]):
             raise InputError("grid box must have positive extent on both axes")
-        if not isinstance(self.resolution, numbers.Integral) or self.resolution < 3:
+        if not _integer(self.resolution, 3):
             raise InputError(f"grid resolution must be an integer >= 3, got {self.resolution!r}")
-        if not isinstance(self.refine_rounds, numbers.Integral) or self.refine_rounds < 0:
+        if not _integer(self.refine_rounds, 0):
             raise InputError(f"refine_rounds must be an integer >= 0, got {self.refine_rounds!r}")
         object.__setattr__(self, "box", tuple(map(tuple, box.tolist())))
 
@@ -75,66 +79,82 @@ def _tile_bounds(poly: Polygon, centers, h, rho):
     allowance for rounding; and the allowance, ``16 eps (2 B(c) + P bound + rho
     (P + bound sum_i a_i / (2 s_i)))`` with ``bound`` the kernel's scale."""
     bound = np.maximum(np.abs(centers).max(initial=poly._max_abs_offset), h)[:, None]
-    value, d, s, e = _kernel(poly, np.broadcast_to(centers, (len(h), *centers.shape)), h, bound[:, 0], True)
+    value, d, s, e = _kernel(poly, _slabs(centers, len(h)), h, bound[:, 0], True)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        grad = (poly.normals.T * poly._half_lengths) @ (d / s)
-        inverse = np.ldexp(poly._half_lengths @ (1.0 / s), -e[:, None])  # sum_i a_i / (2 s_i)
+        d /= s
+        grad = (poly.normals.T * poly._half_lengths) @ d
+        inverse = np.ldexp(poly._half_lengths @ np.reciprocal(s, out=s), -e[:, None])  # sum_i a_i / (2 s_i)
         allowance = 2.0**-48 * (2.0 * value + poly.perimeter * (bound + rho) + rho * bound * inverse)  # 16 eps
         return value, value - np.hypot(grad[:, 0], grad[:, 1]) * rho - allowance, allowance
+
+
+def _slabs(points, k):
+    """``points``, ``(n, 2)``, as ``k`` slabs ``(k, n, 2)`` without a copy.  A lone
+    slab skips the Python-level overhead of ``np.broadcast_to``, which a round at
+    one height would pay twice."""
+    return points[None] if k == 1 else np.broadcast_to(points, (k, *points.shape))
+
+
+def _product(x, y):
+    """The points ``(x[i], y[j])`` of two axes, x-major, shape ``(len(x) * len(y), 2)``."""
+    points = np.empty((len(x), len(y), 2))
+    points[..., 0], points[..., 1] = x[:, None], y
+    return points.reshape(-1, 2)
 
 
 def _refine(poly: Polygon, spec: GridSpec, h_range, samples, score):
     """The refinement scan of ``spec`` over projection and height together.
 
-    Each round spans a grid over the current box, axes ``np.linspace`` bit for
-    bit unless a step underflows, at ``samples`` heights over the current
-    interval.  One :func:`boundary_areas` call (more past 32 MiB of distances)
-    scans the index rectangle of the tiles, 8 points a side, whose
-    :func:`_tile_bounds` do not exceed (or are nan) the least center value at
-    some height; its x-major ``argmin`` is a full scan's.  BLAS sums a lone
-    point and the last ``len % 4`` of a call in another order, so tiles are a
-    multiple of 4, the last taking the rest.  A round that keeps over 3/4 of
-    the grid ends the pruning, which costs more than it saves.  The best
-    ``score(boundary, height)`` re-centers the box and the interval, each
-    zoomed and clipped into its range.  Returns ``(point, height, score)``.
+    Each round spans a grid over the current box at ``samples`` heights over
+    the current interval, one for an interval ``(h, h)``; the two axes and the
+    heights are ``np.linspace`` bit for bit unless a step underflows.  The
+    grid is never formed: the tile centers, 8 points a side, and the scanned
+    rectangle are x-major products of slices of the two axes.  One
+    :func:`boundary_areas` call (more past 32 MiB of distances) scans the index
+    rectangle of the tiles whose :func:`_tile_bounds` do not exceed (or are
+    nan) the least center value at some height; its ``argmin`` is a full
+    scan's.  BLAS sums a lone point and the last ``len % 4`` of a call in
+    another order, so tiles are a multiple of 4, the last taking the rest.  A
+    round that keeps over 3/4 of the grid ends the pruning, which costs more
+    than it saves.  The best ``score(boundary, height)`` re-centers the box and
+    the interval, each zoomed and clipped into its range.  Returns ``(point,
+    height, score)``.
     """
-    bound_lo, bound_hi = (np.asarray(side, dtype=float) for side in spec.box)
-    (h_lo, h_hi), lower, upper, r = h_range, bound_lo, bound_hi, spec.resolution
-    starts = np.arange(max(r // 8, 1)) * 8  # tiles
+    lower, upper = declared = [(*spec.box[0], h_range[0]), (*spec.box[1], h_range[1])]  # (x, y, h) ranges
+    r = spec.resolution
+    index = np.arange(r)
+    indices = index, index, np.arange(samples)
+    starts = index[:max(r // 8, 1) * 8:8]  # tiles
     ends = np.append(starts[1:], r)
-    mid = (starts + ends - 1) // 2  # centers: a tile's farthest point is ends - 1 - mid steps away
-    # x-major layout so np.argmin's first hit is the lexicographic least
-    grid = np.empty((r, r, 2))
+    mid = (starts + ends - 1) // 2  # centers
+    reach = ends - 1 - mid  # steps from a tile's center to its farthest point
     best, prune = (None, math.nan, math.inf), True
     for _ in range(spec.refine_rounds + 1):
-        step = (upper - lower) / (r - 1)
-        axes = np.arange(r) * step[:, None] + lower[:, None]
-        axes[:, -1] = upper
-        grid[..., 0], grid[..., 1] = axes[0, :, None], axes[1, None, :]
-        heights = np.linspace(h_lo, h_hi, samples).tolist()
+        steps = [(hi - lo) / max(len(i) - 1, 1) for lo, hi, i in zip(lower, upper, indices)]
+        x, y, heights = (i * step + lo for i, step, lo in zip(indices, steps, lower))
+        x[-1], y[-1], heights[-1] = upper
         rows = cols = [0, -1]  # every tile, unless the tile bounds drop some
         if prune:
-            rho = np.hypot(*np.ix_((ends - 1 - mid) * step[0], (ends - 1 - mid) * step[1])).ravel()
-            center, lb, _ = _tile_bounds(poly, grid[np.ix_(mid, mid)].reshape(-1, 2), np.array(heights), rho)
+            rho = np.hypot.outer(reach * steps[0], reach * steps[1]).ravel()
+            center, lb, _ = _tile_bounds(poly, _product(x[mid], y[mid]), heights, rho)
             kept = ~(lb > center.min(axis=1, keepdims=True)).all(axis=0).reshape(len(mid), -1)
-            rows, cols = np.flatnonzero(kept.any(axis=1)), np.flatnonzero(kept.any(axis=0))
-        points = grid[starts[rows[0]]:ends[rows[-1]], starts[cols[0]]:ends[cols[-1]]].reshape(-1, 2)
+            rows, cols = kept.any(axis=1).nonzero()[0], kept.any(axis=0).nonzero()[0]
+        points = _product(x[starts[rows[0]]:ends[rows[-1]]], y[starts[cols[0]]:ends[cols[-1]]])
         prune = 4 * len(points) <= 3 * r * r
         c = max(1, 2**22 // (len(poly.lengths) * len(points)))  # heights per call: <= 32 MiB of distances
-        calls = (boundary_areas(poly, np.broadcast_to(points, (len(hs), len(points), 2)), hs)
-                 for hs in (heights[i:i + c] for i in range(0, samples, c)))
-        for h, row in zip(heights, itertools.chain.from_iterable(calls)):
-            j = row.argmin()
-            value = score(float(row[j]), h)
-            if value < best[2]:
-                best = (points[j].copy(), h, value)
-            elif best[2] == math.inf:
-                raise SolverError(f"boundary area is not finite anywhere on the grid at height {h!r}")
-        extent, h_extent = (upper - lower) / spec.refine_zoom, (h_hi - h_lo) / spec.refine_zoom
-        lower = np.clip(best[0] - 0.5 * extent, bound_lo, bound_hi - extent)
-        upper = lower + extent
-        h_lo = min(max(best[1] - 0.5 * h_extent, h_range[0]), h_range[1] - h_extent)
-        h_hi = h_lo + h_extent
+        heights = heights.tolist()
+        for hs in (heights[i:i + c] for i in range(0, samples, c)):
+            for h, row in zip(hs, boundary_areas(poly, _slabs(points, len(hs)), hs)):
+                j = row.argmin()
+                value = score(float(row[j]), h)
+                if value < best[2]:
+                    best = (points[j].copy(), h, value)
+                elif best[2] == math.inf:
+                    raise SolverError(f"boundary area is not finite anywhere on the grid at height {h!r}")
+        extent = [(hi - lo) / spec.refine_zoom for lo, hi in zip(lower, upper)]
+        incumbent = (*best[0].tolist(), best[1])
+        lower = [min(max(p - 0.5 * e, lo), hi - e) for p, e, lo, hi in zip(incumbent, extent, *declared)]
+        upper = [lo + e for lo, e in zip(lower, extent)]
     return best
 
 
@@ -171,7 +191,7 @@ def grid_min_ratio(poly: Polygon, spec_xy: GridSpec | None = None, h_range=None,
     if bounds.shape != (2,) or not 0.0 < bounds[0] < bounds[1] < math.inf:
         raise InputError(f"height range must satisfy 0 < lo < hi < inf, got {h_range}")
     h_lo, h_hi = bounds.tolist()
-    if not isinstance(h_samples, numbers.Integral) or h_samples < 3:
+    if not _integer(h_samples, 3):
         raise InputError(f"h_samples must be an integer >= 3, got {h_samples!r}")
     return _refine(poly, spec_xy or default_grid_spec(poly), (h_lo, h_hi), h_samples,
                    lambda b, h: _ratio(poly, b, h))

@@ -45,6 +45,9 @@ def light_spec(poly, resolution=61, refine_rounds=5):
         dict(box=((0.0, float("nan")), (1.0, 1.0))),
         dict(box=((0.0, 0.0), (1.0, 1.0)), resolution=11.0),
         dict(box=((0.0, 0.0), (1.0, 1.0)), refine_rounds=2.5),
+        dict(box=((0.0, 0.0), (1.0, 1.0)), refine_rounds=True),  # a bool is not a count
+        dict(box=((0.0, 0.0), (1.0, 1.0)), refine_rounds=False),
+        dict(box=((0.0, 0.0), (1.0, 1.0)), resolution=True),
     ],
 )
 def test_grid_spec_rejects_bad_parameters(kwargs):
@@ -169,6 +172,20 @@ def test_grid_axes_are_linspace_bit_for_bit(monkeypatch):
         assert x.tobytes() == np.linspace(x[0], x[-1], r).tobytes()
         assert y.tobytes() == np.linspace(y[0], y[-1], r).tobytes()
         assert np.array_equal(grids, np.stack(np.meshgrid(x, y, indexing="ij"), axis=-1))
+    # the heights of every round, from the declared interval on, are linspace too
+    heights, true_eval = [], oracle_module.boundary_areas
+
+    def recording(poly, points, h):
+        heights.append(np.array(h, dtype=float))
+        return true_eval(poly, points, h)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle_module, "boundary_areas", recording)
+        grid_min_ratio(TRAPEZOID, spec, h_range=(2.6, 6.8), h_samples=7)
+    assert len(heights) == spec.refine_rounds + 1
+    assert heights[0].tobytes() == np.linspace(2.6, 6.8, 7).tobytes()  # six steps of 0.7 end an ulp short of 6.8
+    for hs in heights:
+        assert hs.tobytes() == np.linspace(hs[0], hs[-1], 7).tobytes()
     # with tiles dropped, each round scans an index rectangle of the same grid
     pruned, result = recorded_scan(monkeypatch, lambda: grid_min_ratio(TRAPEZOID, spec, h_samples=3))
     assert [len(batch) for batch in pruned] == [3] * len(full)
@@ -307,8 +324,9 @@ def test_grid_min_ratio_argument_validation():
         grid_min_ratio(RIGHT_TRIANGLE, h_range=(1.0, math.inf))
     with pytest.raises(InputError):
         grid_min_ratio(RIGHT_TRIANGLE, h_samples=2)
-    with pytest.raises(InputError, match="h_samples must be an integer"):
-        grid_min_ratio(RIGHT_TRIANGLE, h_samples=7.0)
+    for samples in (7.0, True):
+        with pytest.raises(InputError, match="h_samples must be an integer"):
+            grid_min_ratio(RIGHT_TRIANGLE, h_samples=samples)
 
 
 def test_grid_min_ratio_recovers_triangle_height_law():
@@ -423,7 +441,10 @@ STRESS = [build_polygon(v) for v in [
 STRESS_HEIGHTS = (1e-12, 1e-3, 1.0, 1e9)  # times the diameter
 
 
-@pytest.mark.parametrize("resolution", [23, 41, 201])
+# the tile layouts: at 3 and 8 one tile holds every point, at 9 the one tile
+# takes 8 points and the rest, at 17 the second of two tiles takes 9, and
+# beyond that tiles of 8 end in a longer last one
+@pytest.mark.parametrize("resolution", [3, 8, 9, 17, 23, 41, 201])
 def test_pruned_scans_equal_full_scans_bitwise(resolution):
     for i, poly in enumerate(STRESS):
         spec = GridSpec(box=default_grid_spec(poly).box, resolution=resolution)
@@ -440,6 +461,28 @@ def test_pruned_scans_equal_full_scans_bitwise(resolution):
             point, height, value = grid_min_ratio(poly, spec, h_samples=5)
             expected = full_scan(poly, spec, (0.05 * scale, 10.0 * scale), 5, lambda b, h: ratio(poly, b, h))
             assert (point.tobytes(), height, value) == (expected[0].tobytes(), *expected[1:]), i
+
+
+def test_default_scan_work_is_pinned(monkeypatch):
+    # the work of the trapezoid's default scan at h = 1, in counts that do not
+    # depend on the machine: the points of every boundary_areas call, and the
+    # 25 x 25 tile centers that each of the 7 rounds evaluates through _kernel
+    scanned, centers = [], []
+    true_eval, true_kernel = oracle_module.boundary_areas, oracle_module._kernel
+
+    def counting_eval(poly, points, h):
+        scanned.append(len(np.asarray(points).reshape(-1, 2)))
+        return true_eval(poly, points, h)
+
+    def counting_kernel(poly, p, h, bound, keep=False):
+        centers.append(len(np.asarray(p).reshape(-1, 2)))
+        return true_kernel(poly, p, h, bound, keep)
+
+    monkeypatch.setattr(oracle_module, "boundary_areas", counting_eval)
+    monkeypatch.setattr(oracle_module, "_kernel", counting_kernel)
+    grid_min_boundary(TRAPEZOID, 1.0)
+    assert sum(scanned) == 4224  # as perfbench's oracle.grid_points counts them
+    assert centers == [625] * 7
 
 
 def test_tile_bound_allowance_covers_the_rounding():
