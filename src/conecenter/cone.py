@@ -46,15 +46,9 @@ class Apex:
         object.__setattr__(self, "height", _positive_height(self.height, "apex height"))
 
 
-def _boundary(poly: Polygon, slant):
-    """Base area plus the lateral faces ``a_i * slant_i / 2``."""
-    return poly.area + slant @ poly._half_lengths
-
-
 def boundary_area(poly: Polygon, apex: Apex) -> float:
     """Base area plus the lateral faces, ``sum(a_i * sqrt(d_i**2 + h**2)) / 2``."""
-    d = signed_distances(poly, apex.projection)
-    return float(_boundary(poly, np.hypot(d, apex.height)))
+    return poly.area + _local_model(poly, apex.projection, apex.height, False)[2]
 
 
 def boundary_areas(poly: Polygon, points, height) -> np.ndarray:
@@ -67,14 +61,15 @@ def boundary_areas(poly: Polygon, points, height) -> np.ndarray:
     above the exponent of ``max(h_k, max|p_k|, max_i |c_i|)``, which bounds
     both since ``|d_i| <= sqrt(2) * max|p| + |c_i|``; then ``sqrt(d*d + h*h)``
     is formed in place: no square overflows, and one that underflows is below
-    2**-1000 of the bound's square.  That costs about a tenth
-    of ``np.hypot``, which :func:`boundary_area` and the solver keep (the
-    solver's rounding allowance is derived for it, and at m <= 12 edges
-    their cost is call overhead).  So a value may differ from :func:`boundary_area` by
-    a few ulps: the slant rounds four times instead of once, and the batch
-    distances and the sum over edges may round in another order.  Values
-    beyond the float range are ``inf``, without a warning; a projection that
-    is not finite, or does not convert, is an ``InputError`` before any shape.
+    2**-1000 of the bound's square.  That costs about a tenth of ``np.hypot``,
+    which the single-point model ``_local_model`` keeps for :func:`boundary_area`,
+    :func:`equal_angle_residual` and the solvers (their rounding allowance is
+    derived for it, and at m <= 12 edges their cost is call overhead).  So a value
+    may differ from :func:`boundary_area` by a few ulps: the slant rounds four
+    times instead of once, and the batch distances and the sum over edges may
+    round in another order.  Values beyond the float range are ``inf``, without a
+    warning; a projection that is not finite, or does not convert, is an
+    ``InputError`` before any shape.
     """
     points = _floats(points)
     single = np.ndim(height) == 0
@@ -102,6 +97,25 @@ def _kernel(poly: Polygon, p, h, bound, keep=False):
     np.sqrt(s, out=s)
     with np.errstate(over="ignore"):
         return poly.area + np.ldexp(poly._half_lengths @ s, e[:, None]), d, s, e
+
+
+def _local_model(poly: Polygon, x, h, shifted):
+    """The single-point model at projection ``x`` and checked height ``h``: distances
+    ``d``, slants ``s = hypot(d, h)``, lateral area, its gradient ``sum_i w_i n_i`` and
+    the weights ``w``.  The direct form is ``sum_i a_i s_i / 2``, ``w_i = a_i d_i / s_i / 2``.
+    The shifted form puts ``r_i = s_i - d_i = h * (h / (s_i + |d_i|)) + (|d_i| - d_i)`` for
+    ``s_i`` in the value and ``-r_i`` for ``d_i`` in ``w``: as ``sum_i a_i n_i = 0`` and
+    ``sum_i a_i d_i = 2 * area``, that is the direct form less the area, with no cancellation
+    where ``h << |d_i|``.  Sums run over ``a_i / 2``, finite where ``sum_i a_i s_i`` is not."""
+    half = poly._half_lengths
+    d = signed_distances(poly, x)
+    slant = np.hypot(d, h)
+    if shifted:
+        r = h * (h / (slant + np.abs(d))) + (np.abs(d) - d)  # slant - d
+        value, w = float(r @ half), -half * r / slant
+    else:
+        value, w = float(slant @ half), half * d / slant
+    return d, slant, value, poly.normals.T @ w, w
 
 
 def cone_volume(poly: Polygon, height) -> float:
@@ -155,6 +169,6 @@ def equal_angle_residual(poly: Polygon, point, height) -> float:
     same angle, as they do over the incenter of a triangle.
     """
     h = _positive_height(height)
-    d = signed_distances(poly, _finite_point(point, "apex projection"))
-    s = d / np.hypot(d, h)
+    d, slant = _local_model(poly, _finite_point(point, "apex projection"), h, False)[:2]
+    s = d / slant
     return float(s.max() - s.min())

@@ -33,6 +33,8 @@ def _floats(value) -> np.ndarray:
 def _number(value, what="height") -> float:
     """``float(value)``, inf for an int beyond the float range; InputError if not a number."""
     try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError  # float() would take it as 0 or 1
         return float(value)
     except OverflowError:
         return math.inf

@@ -4,13 +4,10 @@
 projection at a fixed height.  With ``d_i = n_i @ x + c_i`` and
 ``s_i = sqrt(d_i**2 + h**2)`` the objective ``g(x) = sum_i a_i s_i / 2`` is
 smooth and convex for h > 0, with gradient ``sum_i a_i (d_i / s_i) n_i / 2``
-and Hessian ``sum_i a_i (h**2 / s_i**3) n_i n_i^T / 2``.  Since
-``sum_i a_i n_i = 0`` and ``sum_i a_i d_i = 2 * area`` at every x, the
-shifted form, value ``sum_i a_i r_i / 2`` and gradient
-``-sum_i a_i (r_i / s_i) n_i / 2`` with
-``r_i = s_i - d_i = h * (h / (s_i + |d_i|)) + (|d_i| - d_i)``, has the same
-minimizer and no cancellation where ``h << |d_i|``.  One damped Newton loop
-minimizes it and stops on the length of the Newton step.
+and Hessian ``sum_i a_i (h**2 / s_i**3) n_i n_i^T / 2``.  Value and gradient
+come from ``cone._local_model``, in this direct form or in its shifted form,
+which has the same minimizer and no cancellation where ``h << |d_i|``.  One
+damped Newton loop minimizes it and stops on the length of the Newton step.
 
 ``optimal_cone`` minimizes ``F = B**3 / volume**2`` jointly over x and h.
 ``B(x, h)``, a sum of norms of affine maps, is jointly convex, and ``F <= t``
@@ -29,9 +26,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cone import OPTIMAL_HEIGHT_RATIO, _boundary, _ratio
+from .cone import OPTIMAL_HEIGHT_RATIO, _local_model, _ratio
 from .errors import InputError, SolverError, _finite_point, _number, _positive_height
-from .geometry import Polygon, centroid, signed_distances, triangle_incenter
+from .geometry import Polygon, centroid, triangle_incenter
 
 __all__ = [
     "CenterResult",
@@ -99,21 +96,6 @@ def boundary_gradient(poly: Polygon, point, height) -> np.ndarray:
     return _local_model(poly, x, _positive_height(height), False)[3]
 
 
-def _local_model(poly: Polygon, x, h, shifted):
-    """Distances ``d``, slants ``s``, value, gradient ``sum_i w_i n_i`` and
-    its weights ``w`` of the direct or the shifted form at ``x`` (see the
-    module docstring); ``h`` is already checked."""
-    lengths = poly.lengths
-    d = signed_distances(poly, x)
-    slant = np.hypot(d, h)
-    if shifted:
-        r = h * (h / (slant + np.abs(d))) + (np.abs(d) - d)  # slant - d
-        value, w = 0.5 * float(lengths @ r), -0.5 * lengths * r / slant
-    else:
-        value, w = 0.5 * float(lengths @ slant), 0.5 * lengths * d / slant
-    return d, slant, value, poly.normals.T @ w, w
-
-
 def center_at_height(poly: Polygon, height, x0=None) -> CenterResult:
     """Minimize the cone boundary area over the apex projection at fixed height.
 
@@ -131,8 +113,8 @@ def center_at_height(poly: Polygon, height, x0=None) -> CenterResult:
     at most ``min_i s_i / 8``; that step is taken.  Unlike the gradient,
     which shrinks like h**2, the step needs no scale factor in x or h.
 
-    The value and gradient take the direct or the shifted form (see the
-    module docstring), whichever has the smaller ``sum_i a_i |w_i|`` over
+    The value and gradient take the direct or the shifted form of
+    ``cone._local_model``, whichever has the smaller ``sum_i a_i |w_i|`` over
     its gradient weights, ``d_i / s_i`` or ``(s_i - d_i) / s_i``, at the
     start point: rounding error scales with that sum.  A step is accepted
     on the Armijo condition or when the slope at the new point along the
@@ -160,9 +142,10 @@ def center_at_height(poly: Polygon, height, x0=None) -> CenterResult:
 
     # the shifted gradient terms sum_i a_i |s_i - d_i| / s_i are the smaller
     # sum exactly when sum_i a_i max(d_i, 0) / s_i exceeds perimeter / 2
-    d = signed_distances(poly, x)
-    shifted = float(poly.lengths @ (np.maximum(d, 0.0) / np.hypot(d, h))) > 0.5 * poly.perimeter
-    d, slant, value, grad, grad_w = _local_model(poly, x, h, shifted)
+    d, slant, value, grad, grad_w = _local_model(poly, x, h, False)
+    shifted = float(poly.lengths @ (np.maximum(d, 0.0) / slant)) > 0.5 * poly.perimeter
+    if shifted:
+        d, slant, value, grad, grad_w = _local_model(poly, x, h, True)
     iterations = 0
     converged = False
     while True:
@@ -206,7 +189,7 @@ def center_at_height(poly: Polygon, height, x0=None) -> CenterResult:
     return CenterResult(
         center=np.array([px, py]),
         height=h,
-        boundary_area=float(_boundary(poly, slant)),
+        boundary_area=float(poly.area + slant @ half),
         gradient_norm=math.hypot(*grad.tolist()),
         distances=d,
         iterations=iterations,

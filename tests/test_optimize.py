@@ -29,6 +29,7 @@ from conecenter import (
     signed_distances,
     triangle_incenter,
 )
+from conecenter.cone import _local_model
 
 TRAPEZOID = build_polygon([(0.0, -1.0), (2.0, -2.0), (2.0, 2.0), (0.0, 1.0)])
 SQUARE = build_polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
@@ -209,7 +210,7 @@ def test_gradient_matches_finite_differences():
 
 
 def test_shifted_form_matches_the_direct_form():
-    # both forms of the solver's local model have the same gradient, and
+    # both forms of the single-point model have the same gradient, and
     # their values differ by sum_i a_i d_i / 2 = area, within the summation
     # rounding bound m * eps * sum_i a_i (s_i + |d_i|)
     rng = np.random.default_rng(89)
@@ -219,15 +220,15 @@ def test_shifted_form_matches_the_direct_form():
         for h in (0.3, 1.0, 3.0):
             for _ in range(10):
                 p = rng.uniform(lo - 0.5, hi + 0.5)
-                d, slant, direct, grad, _ = optimize_module._local_model(poly, p, h, False)
-                _, _, shifted, grad_shifted, _ = optimize_module._local_model(poly, p, h, True)
+                d, slant, direct, grad, _ = _local_model(poly, p, h, False)
+                _, _, shifted, grad_shifted, _ = _local_model(poly, p, h, True)
                 bound = len(d) * np.finfo(float).eps * float(poly.lengths @ (slant + np.abs(d)))
                 assert abs(direct - shifted - poly.area) <= bound
                 scale = max(np.linalg.norm(grad), 1e-9 * poly.perimeter)
                 assert np.linalg.norm(grad_shifted - grad) <= 1e-12 * scale
                 for form in (False, True):
                     approx = finite_diff_gradient(
-                        lambda q: optimize_module._local_model(poly, q, h, form)[2], p, step
+                        lambda q: _local_model(poly, q, h, form)[2], p, step
                     )
                     assert np.linalg.norm(approx - grad) <= 1e-6 * scale
                     assert np.linalg.norm(approx - grad_shifted) <= 1e-6 * scale
@@ -379,6 +380,32 @@ def test_optimal_height_is_a_root_of_the_height_derivative():
         assert abs(slope) <= 1e-12
 
 
+def test_face_laws_hold_at_the_optimal_cone():
+    # with c_i = d_i / s_i and F_i = a_i s_i / 2, the optimum satisfies (x) sum_i a_i c_i n_i = 0
+    # and (h) sum_i F_i (1 - 3 c_i)(1 + c_i) = 0; each residual, over its scale (the perimeter
+    # for x, sum_i F_i for h), is allowed 8 m eps.  Seen: at most 0.75 and 1.9 m eps, and at
+    # least 6.4e8 m eps for (h) once h moves by 1e-6 relative
+    rng = np.random.default_rng(9)
+    for i in range(200):
+        make = helpers.random_star_polygon if i % 2 else helpers.random_convex_polygon
+        poly = build_polygon(make(rng))
+        best = optimal_cone(poly)
+        if not best.converged:
+            continue
+        allowance = 8 * len(poly.lengths) * np.finfo(float).eps
+        d = signed_distances(poly, best.center)
+
+        def laws(h):
+            slant = np.hypot(d, h)
+            c, faces = d / slant, 0.5 * poly.lengths * slant
+            x_law = np.linalg.norm((poly.lengths * c) @ poly.normals) / poly.perimeter
+            return x_law, abs(float(faces @ ((1.0 - 3.0 * c) * (1.0 + c)))) / faces.sum()
+
+        x_law, h_law = laws(best.height)
+        assert x_law <= allowance and h_law <= allowance
+        assert laws(best.height * (1.0 + 1e-6))[1] > allowance
+
+
 def test_optimal_cone_flags_answers_it_cannot_certify():
     # the thin rectangle's certifying solve is stopped by gradient rounding
     # along the long axis; on the shifted trapezoid TOL * diameter (4.5e-10)
@@ -502,8 +529,8 @@ def test_height_sweep_records_per_height_failures():
 
 
 def test_height_sweep_records_heights_that_are_not_numbers():
-    text, missing, numeric = height_sweep(TRAPEZOID, ["abc", None, 1.0])
-    for entry, shown in ((text, "'abc'"), (missing, "None")):
+    text, missing, flag, numeric = height_sweep(TRAPEZOID, ["abc", None, np.True_, 1.0])
+    for entry, shown in ((text, "'abc'"), (missing, "None"), (flag, repr(np.True_))):
         assert math.isnan(entry.height)
         assert entry.result is None and entry.ratio is None
         assert entry.error == f"InputError: height must be a number, got {shown}"

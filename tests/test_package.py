@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,3 +51,25 @@ def test_arguments_that_are_not_numbers_raise_input_error(entry_point, value):
             assert str(exc.value).endswith(f"must be a number, got {value!r}")
     elif entry_point == "build_polygon vertex" and isinstance(value, int):
         assert str(exc.value).startswith("vertex coordinates are too large for a float")
+
+
+@pytest.mark.parametrize(
+    "entry_point", [name for name in NOT_A_NUMBER if name.endswith("height") or name == "phi"]
+)
+def test_bools_are_not_numbers(entry_point):
+    with pytest.raises(conecenter.InputError, match="must be a number, got True$"):
+        NOT_A_NUMBER[entry_point](True)
+
+
+def test_readme_library_example_runs():
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    example = readme.split("## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", example],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
