@@ -53,12 +53,12 @@ def boundary_area(poly: Polygon, apex: Apex) -> float:
 
 def boundary_areas(poly: Polygon, points, height) -> np.ndarray:
     """Boundary areas at ``(n, 2)`` apex projections and one height, shape
-    ``(n,)``, or at ``(k, n, 2)`` projections and ``k`` heights, shape ``(k, n)``.
+    ``(n,)``, or at every projection and each of ``k`` heights, shape ``(k, n)``.
 
-    The grid oracle's batch kernel.  It works on the distances edge-major,
+    The grid oracle's batch kernel.  It forms the distances once, edge-major,
     as ``(m, n)`` rows ``n`` long, and sums the edges as ``(a / 2) @ slants``.
-    Slab ``k``'s ``d`` and ``h`` are scaled exactly by ``2**-e_k``, ``e_k`` two
-    above the exponent of ``max(h_k, max|p_k|, max_i |c_i|)``, which bounds
+    At height ``h_k`` they and ``h_k`` are scaled exactly by ``2**-e_k``, ``e_k`` two
+    above the exponent of ``max(h_k, max|p|, max_i |c_i|)``, which bounds
     both since ``|d_i| <= sqrt(2) * max|p| + |c_i|``; then ``sqrt(d*d + h*h)``
     is formed in place: no square overflows, and one that underflows is below
     2**-1000 of the bound's square.  That costs about a tenth of ``np.hypot``,
@@ -74,24 +74,23 @@ def boundary_areas(poly: Polygon, points, height) -> np.ndarray:
     points = _floats(points)
     single = np.ndim(height) == 0
     h = np.array([_positive_height(x) for x in ([height] if single else height)])
-    p = points[None] if single else points
-    axes, top = tuple(range(1, p.ndim)), poly._max_abs_offset
-    bound = np.maximum(p.max(axis=axes, initial=top), -p.min(axis=axes, initial=-top))
-    if not np.isfinite(bound).all():
+    top = poly._max_abs_offset
+    bound = max(points.max(initial=top), -points.min(initial=-top))
+    if not math.isfinite(bound):
         raise InputError("apex projections must be finite")
-    if p.ndim != 3 or p.shape[0] != len(h) or p.shape[2] != 2:
-        expected = "(n, 2)" if single else f"({len(h)}, n, 2), one slab per height"
-        raise InputError(f"points must have shape {expected}, got {points.shape}")
-    return _kernel(poly, p, h, np.maximum(bound, h))[0].reshape(points.shape[:-1])
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise InputError(f"points must have shape (n, 2), got {points.shape}")
+    areas = _kernel(poly, points, h, np.maximum(bound, h))[0]
+    return areas[0] if single else areas
 
 
-def _kernel(poly: Polygon, p, h, bound, keep=False):
-    """:func:`boundary_areas` on checked ``(k, n, 2)`` projections: the areas ``(k, n)``,
-    the distances and slants ``(k, m, n)`` scaled by ``2**-e``, and ``e``.  The
-    distances are kept apart from the slants, at the cost of a copy, only with ``keep``."""
+def _kernel(poly: Polygon, points, h, bound, keep=False):
+    """:func:`boundary_areas` on checked ``(n, 2)`` projections at ``k`` heights: the
+    areas ``(k, n)``, the distances and slants ``(k, m, n)`` scaled by ``2**-e``, and
+    ``e``.  The distances are kept apart from the slants, at the cost of a copy, only
+    with ``keep``."""
     e = np.frexp(bound)[1] + 2
-    d = signed_distances(poly, p).swapaxes(1, 2)
-    d *= np.ldexp(1.0, -e)[:, None, None]
+    d = signed_distances(poly, points).T * np.ldexp(1.0, -e)[:, None, None]
     s = np.multiply(d, d, out=None if keep else d)
     s += (np.ldexp(h, -e) ** 2)[:, None, None]
     np.sqrt(s, out=s)
@@ -99,23 +98,29 @@ def _kernel(poly: Polygon, p, h, bound, keep=False):
         return poly.area + np.ldexp(poly._half_lengths @ s, e[:, None]), d, s, e
 
 
-def _local_model(poly: Polygon, x, h, shifted):
+def _local_model(poly: Polygon, x, h, shifted=None):
     """The single-point model at projection ``x`` and checked height ``h``: distances
-    ``d``, slants ``s = hypot(d, h)``, lateral area, its gradient ``sum_i w_i n_i`` and
-    the weights ``w``.  The direct form is ``sum_i a_i s_i / 2``, ``w_i = a_i d_i / s_i / 2``.
-    The shifted form puts ``r_i = s_i - d_i = h * (h / (s_i + |d_i|)) + (|d_i| - d_i)`` for
-    ``s_i`` in the value and ``-r_i`` for ``d_i`` in ``w``: as ``sum_i a_i n_i = 0`` and
-    ``sum_i a_i d_i = 2 * area``, that is the direct form less the area, with no cancellation
-    where ``h << |d_i|``.  Sums run over ``a_i / 2``, finite where ``sum_i a_i s_i`` is not."""
+    ``d``, slants ``s = hypot(d, h)``, lateral area, its gradient ``sum_i w_i n_i``, the
+    weights ``w`` and the form, ``shifted``.  The direct form is ``sum_i a_i s_i / 2``,
+    ``w_i = a_i d_i / s_i / 2``.  The shifted form puts ``r_i = s_i - d_i = h * (h / (s_i +
+    |d_i|)) + (|d_i| - d_i)`` for ``s_i`` in the value and ``-r_i`` for ``d_i`` in ``w``: as
+    ``sum_i a_i n_i = 0`` and ``sum_i a_i d_i = 2 * area``, that is the direct form less the
+    area, with no cancellation where ``h << |d_i|``.  Sums run over ``a_i / 2``, finite
+    where ``sum_i a_i s_i`` is not.  With ``shifted`` None it takes the form whose weights
+    have the smaller ``sum_i |w_i|``: rounding error in the gradient scales with it."""
     half = poly._half_lengths
     d = signed_distances(poly, x)
     slant = np.hypot(d, h)
+    if shifted is None:
+        # the shifted gradient terms sum_i a_i |s_i - d_i| / s_i are the smaller
+        # sum exactly when sum_i a_i max(d_i, 0) / s_i exceeds perimeter / 2
+        shifted = float(poly.lengths @ (np.maximum(d, 0.0) / slant)) > 0.5 * poly.perimeter
     if shifted:
         r = h * (h / (slant + np.abs(d))) + (np.abs(d) - d)  # slant - d
         value, w = float(r @ half), -half * r / slant
     else:
         value, w = float(slant @ half), half * d / slant
-    return d, slant, value, poly.normals.T @ w, w
+    return d, slant, value, poly.normals.T @ w, w, shifted
 
 
 def cone_volume(poly: Polygon, height) -> float:

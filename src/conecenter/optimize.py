@@ -113,20 +113,18 @@ def center_at_height(poly: Polygon, height, x0=None) -> CenterResult:
     at most ``min_i s_i / 8``; that step is taken.  Unlike the gradient,
     which shrinks like h**2, the step needs no scale factor in x or h.
 
-    The value and gradient take the direct or the shifted form of
-    ``cone._local_model``, whichever has the smaller ``sum_i a_i |w_i|`` over
-    its gradient weights, ``d_i / s_i`` or ``(s_i - d_i) / s_i``, at the
-    start point: rounding error scales with that sum.  A step is accepted
-    on the Armijo condition or when the slope at the new point along the
-    step is not positive, which by convexity means the value has not risen
-    even where its differences fall below rounding.  The loop ends
-    unconverged, returning the last iterate, after ``_MAX_STEPS`` (200)
-    damped steps or when backtracking gets below ``t = 1e-14``, an accepted
-    step leaves the iterate unchanged, the step is no longer than its
-    rounding, or the Hessian determinant is lost: to cancellation on thin
-    bases whose long edges are parallel and off the axes, or to under- or
-    overflow for ``h / diameter`` beyond about 1e-77 or 1e154.  Raises
-    ``SolverError``, before any step, where ``perimeter * h`` overflows.
+    The value and gradient keep the form of ``cone._local_model`` that the
+    model picks at the start point.  A step is accepted on the Armijo
+    condition or when the slope at the new point along the step is not
+    positive, which by convexity means the value has not risen even where
+    its differences fall below rounding.  The loop ends unconverged,
+    returning the last iterate, after ``_MAX_STEPS`` (200) damped steps or
+    when backtracking gets below ``t = 1e-14``, an accepted step leaves the
+    iterate unchanged, the step is no longer than its rounding, or the
+    Hessian determinant is lost: to cancellation on thin bases whose long
+    edges are parallel and off the axes, or to under- or overflow for ``h /
+    diameter`` beyond about 1e-77 or 1e154.  Raises ``SolverError``, before
+    any step, where ``perimeter * h`` overflows.
     """
     h = _positive_height(height)
     # sum_i a_i s_i >= perimeter * h: once that overflows, so do the model's sums
@@ -140,12 +138,7 @@ def center_at_height(poly: Polygon, height, x0=None) -> CenterResult:
     abs_normals_t = np.abs(poly.normals.T)
     products = (poly.normals[:, :, None] * poly.normals[:, None, :]).reshape(-1, 4)
 
-    # the shifted gradient terms sum_i a_i |s_i - d_i| / s_i are the smaller
-    # sum exactly when sum_i a_i max(d_i, 0) / s_i exceeds perimeter / 2
-    d, slant, value, grad, grad_w = _local_model(poly, x, h, False)
-    shifted = float(poly.lengths @ (np.maximum(d, 0.0) / slant)) > 0.5 * poly.perimeter
-    if shifted:
-        d, slant, value, grad, grad_w = _local_model(poly, x, h, True)
+    d, slant, value, grad, grad_w, shifted = _local_model(poly, x, h)
     iterations = 0
     converged = False
     while True:
@@ -166,7 +159,7 @@ def center_at_height(poly: Polygon, height, x0=None) -> CenterResult:
         # within min_i s_i / 8 each Hessian weight changes by at most (8/7)**3
         if length + noise <= step_tol and 8.0 * length <= float(slant.min()):
             px, py = px + sx, py + sy
-            d, slant, value, grad, grad_w = _local_model(poly, (px, py), h, shifted)
+            d, slant, value, grad, grad_w, _ = _local_model(poly, (px, py), h, shifted)
             converged = True
             break
         if iterations >= _MAX_STEPS or length <= noise:
@@ -183,7 +176,7 @@ def center_at_height(poly: Polygon, height, x0=None) -> CenterResult:
         if t < 1e-14 or (tx == px and ty == py):
             break
         px, py = tx, ty
-        d, slant, value, grad, grad_w = trial
+        d, slant, value, grad, grad_w, _ = trial
         iterations += 1
 
     return CenterResult(
@@ -207,7 +200,7 @@ def _joint_model(poly: Polygon, x, u):
     # sum_i a_i s_i >= perimeter * h: once that overflows, so do the model's sums
     if not math.isfinite(poly.perimeter * h):
         raise SolverError(f"boundary area at u={u:g} is too large: perimeter * e**u overflows")
-    d, slant, value, grad_x, w = _local_model(poly, x, h, False)
+    d, slant, value, grad_x, w, _ = _local_model(poly, x, h, False)
     b = poly.area + value
     q, r = h / slant, d / slant
     scaled_normals = poly.diameter * poly.normals
@@ -235,14 +228,18 @@ def optimal_cone(poly: Polygon) -> OptimalCone:
 
     The rules are ``center_at_height``'s in three variables, with ``phi``'s
     Hessian less its ``-3 grad B grad B^T / B**2`` term where it is not
-    positive definite.  Converged means the step's x part is at most ``TOL *
-    diameter`` and u part at most ``TOL``, each plus how far rounding in the
-    gradient and in the position moves it; ``d(phi)/du`` is the envelope
-    theorem's height derivative ``1.5 * h**2 * sum_i a_i / s_i / B - 2``.
-    A ``center_at_height`` solve at the final height, started at the final
-    projection, certifies the answer; ``converged`` needs both.  Raises
-    ``SolverError`` for a ratio or a ``perimeter * h``, trial steps too,
-    beyond the float range."""
+    positive definite, and with two differences.  A trial step is also
+    accepted where its slope along the step is within its rounding bound,
+    ``grad @ step <= error @ |step|``, where ``center_at_height`` needs a
+    slope of at most 0.  And there is no ``8 * |step| <= min_i s_i`` model
+    guard: the certifying solve supplies it.  Converged means the step's x
+    part is at most ``TOL * diameter`` and u part at most ``TOL``, each plus
+    how far rounding in the gradient and in the position moves it;
+    ``d(phi)/du`` is the envelope theorem's height derivative ``1.5 * h**2 *
+    sum_i a_i / s_i / B - 2``.  A ``center_at_height`` solve at the final
+    height, started at the final projection, certifies the answer;
+    ``converged`` needs both.  Raises ``SolverError`` for a ratio or a
+    ``perimeter * h``, trial steps too, beyond the float range."""
     x, u = centroid(poly), math.log(OPTIMAL_HEIGHT_RATIO * 2.0 * poly.area / poly.perimeter)
     value, grad, inverse, error = _joint_model(poly, x, u)
     iterations, converged = 0, False

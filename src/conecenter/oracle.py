@@ -79,20 +79,13 @@ def _tile_bounds(poly: Polygon, centers, h, rho):
     allowance for rounding; and the allowance, ``16 eps (2 B(c) + P bound + rho
     (P + bound sum_i a_i / (2 s_i)))`` with ``bound`` the kernel's scale."""
     bound = np.maximum(np.abs(centers).max(initial=poly._max_abs_offset), h)[:, None]
-    value, d, s, e = _kernel(poly, _slabs(centers, len(h)), h, bound[:, 0], True)
+    value, d, s, e = _kernel(poly, centers, h, bound[:, 0], True)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         d /= s
         grad = (poly.normals.T * poly._half_lengths) @ d
         inverse = np.ldexp(poly._half_lengths @ np.reciprocal(s, out=s), -e[:, None])  # sum_i a_i / (2 s_i)
         allowance = 2.0**-48 * (2.0 * value + poly.perimeter * (bound + rho) + rho * bound * inverse)  # 16 eps
         return value, value - np.hypot(grad[:, 0], grad[:, 1]) * rho - allowance, allowance
-
-
-def _slabs(points, k):
-    """``points``, ``(n, 2)``, as ``k`` slabs ``(k, n, 2)`` without a copy.  A lone
-    slab skips the Python-level overhead of ``np.broadcast_to``, which a round at
-    one height would pay twice."""
-    return points[None] if k == 1 else np.broadcast_to(points, (k, *points.shape))
 
 
 def _product(x, y):
@@ -144,7 +137,7 @@ def _refine(poly: Polygon, spec: GridSpec, h_range, samples, score):
         c = max(1, 2**22 // (len(poly.lengths) * len(points)))  # heights per call: <= 32 MiB of distances
         heights = heights.tolist()
         for hs in (heights[i:i + c] for i in range(0, samples, c)):
-            for h, row in zip(hs, boundary_areas(poly, _slabs(points, len(hs)), hs)):
+            for h, row in zip(hs, boundary_areas(poly, points, hs)):
                 j = row.argmin()
                 value = score(float(row[j]), h)
                 if value < best[2]:

@@ -1,9 +1,11 @@
 """Shared generators and independent reference implementations for tests.
 
-The reference code here (shoelace, ray casting) is deliberately written
-from scratch so the package is checked against something it does not
-share code with.
+The reference code here (shoelace, ray casting, the 60-digit center) is
+deliberately written from scratch so the package is checked against
+something it does not share code with.
 """
+
+import decimal
 
 import numpy as np
 from scipy.spatial import ConvexHull
@@ -173,3 +175,49 @@ def tall_cone_center(vertices) -> np.ndarray:
     """
     a, n, c = edge_lines(vertices)
     return np.linalg.solve((n.T * a) @ n, -(n.T @ (a * c)))
+
+
+def decimal_center(vertices, h, digits=60):
+    """Fixed-height center of the float polygon ``vertices``, to ``digits`` digits.
+
+    Damped Newton in ``decimal`` from the vertex mean, on the exact float
+    vertices and height.  With edge vector ``e_i`` from vertex ``v_i``, edge
+    ``i`` adds ``sqrt(q_i**2 + |e_i|**2 h**2) / 2`` to the boundary area, where
+    ``q_i = e_i x (x - v_i) = a_i d_i`` is polynomial in ``x``: one square root a
+    term, and no normal is rounded.  The value is strictly convex, so any start
+    leads to its one minimizer; the loop takes the Newton step that is at most
+    1e-20 of the base's extent and stops.  Returns the center as two ``Decimal``.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        v = [tuple(decimal.Decimal(float(c)) for c in p) for p in vertices]
+        edges = [(w[0] - p[0], w[1] - p[1], p) for p, w in zip(v, v[1:] + v[:1])]
+        hh = decimal.Decimal(float(h)) ** 2
+        size = max(max(abs(p[k] - w[k]) for p in v for w in v) for k in (0, 1))
+
+        def model(x, y):
+            value, gx, gy, hxx, hxy, hyy = (decimal.Decimal(0),) * 6
+            for ex, ey, (vx, vy) in edges:
+                q = ex * (y - vy) - ey * (x - vx)
+                tail = (ex * ex + ey * ey) * hh
+                s = (q * q + tail).sqrt()
+                value += s
+                gx, gy = gx - ey * q / s, gy + ex * q / s  # grad q = (-e_y, e_x)
+                w = tail / (s * s * s)
+                hxx, hxy, hyy = hxx + ey * ey * w, hxy - ex * ey * w, hyy + ex * ex * w
+            return value, gx, gy, hxx, hxy, hyy
+
+        x, y = (sum(p[k] for p in v) / len(v) for k in (0, 1))
+        for _ in range(200):
+            value, gx, gy, hxx, hxy, hyy = model(x, y)
+            det = hxx * hyy - hxy * hxy
+            sx, sy = (hxy * gy - hyy * gx) / det, (hxy * gx - hxx * gy) / det
+            if max(abs(sx), abs(sy)) <= decimal.Decimal("1e-20") * size:
+                return x + sx, y + sy
+            t = decimal.Decimal(1)
+            while model(x + t * sx, y + t * sy)[0] > value + t * (gx * sx + gy * sy) / 10000:
+                t /= 2
+                if t < decimal.Decimal("1e-30"):
+                    raise RuntimeError("decimal_center: backtracking failed")
+            x, y = x + t * sx, y + t * sy
+    raise RuntimeError("decimal_center did not converge in 200 steps")

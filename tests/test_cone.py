@@ -16,6 +16,8 @@ from conecenter import (
     boundary_area,
     boundary_areas,
     build_polygon,
+    center_at_height,
+    centroid,
     cone_volume,
     equal_angle_residual,
     isoperimetric_ratio,
@@ -23,6 +25,8 @@ from conecenter import (
     signed_distances,
     triangle_incenter,
 )
+from conecenter import cone as cone_module
+from conecenter.cone import _local_model
 
 RIGHT_TRIANGLE = build_polygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
 EQUILATERAL = build_polygon([(0.0, 0.0), (2.0, 0.0), (1.0, math.sqrt(3.0))])
@@ -125,7 +129,7 @@ def test_boundary_areas_rejects_a_batch_that_is_not_n_points(shape):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_boundary_areas_rejects_projections_that_are_not_finite(bad):
     # nan used to come back as a nan area, inf as an inf area
-    for points, height in (([[0.5, 0.0], [bad, 0.0]], 1.0), ([[[0.5, bad]], [[0.5, 0.0]]], [1.0, 2.0])):
+    for points, height in (([[0.5, 0.0], [bad, 0.0]], 1.0), ([[0.5, bad], [0.5, 0.0]], [1.0, 2.0])):
         with pytest.raises(InputError, match="^apex projections must be finite$"):
             boundary_areas(TRAPEZOID, points, height)
 
@@ -139,38 +143,55 @@ def test_boundary_areas_names_finiteness_before_shape():
 
 
 # Heights 300 decades apart: one exponent shared by the batch would scale the
-# low slabs' distances and heights to zero (the 1e-300 slab came back as the
-# base area alone), so each slab takes its own.
+# distances and heights at 1e-300 to zero (that row came back as the base area
+# alone), so each height takes its own.
 @pytest.mark.parametrize("shift", [0.0, 1e7])
 def test_boundary_areas_batch_equals_one_call_per_height(shift):
     poly = build_polygon(np.array([(0.0, 0.0), (3.0, 0.0), (2.0, 1.0), (0.0, 1.0)]) + shift)
     heights = (1e-300, 1.0, 1e300)
-    pts = shift + np.random.default_rng(29).uniform(-3.0, 3.0, size=(3, 50, 2))
+    pts = shift + np.random.default_rng(29).uniform(-3.0, 3.0, size=(50, 2))
     batch = boundary_areas(poly, pts, heights)
     assert batch.shape == (3, 50)
-    for slab, h, row in zip(pts, heights, batch):
-        assert row.tobytes() == boundary_areas(poly, slab, h).tobytes()
+    for h, row in zip(heights, batch):
+        assert row.tobytes() == boundary_areas(poly, pts, h).tobytes()
 
 
-@pytest.mark.parametrize(
-    "shape, heights, expected",
-    [
-        ((2, 5, 2), [1.0, 2.0, 3.0], "(3, n, 2), one slab per height"),
-        ((3, 5, 2), 1.0, "(n, 2)"),
-        ((5, 2), [1.0], "(1, n, 2), one slab per height"),
-    ],
-)
-def test_boundary_areas_rejects_a_batch_that_does_not_match_its_heights(shape, heights, expected):
-    message = re.escape(f"points must have shape {expected}, got {shape}")
+# every height takes the same (n, 2) points, so a (k, n, 2) batch is rejected whatever its heights
+@pytest.mark.parametrize("shape, heights", [((2, 5, 2), [1.0, 2.0, 3.0]), ((3, 5, 2), 1.0), ((1, 5, 2), [1.0])])
+def test_boundary_areas_rejects_a_batch_that_does_not_match_its_heights(shape, heights):
+    message = re.escape(f"points must have shape (n, 2), got {shape}")
     with pytest.raises(InputError, match=f"^{message}$"):
         boundary_areas(TRAPEZOID, np.ones(shape), heights)
+
+
+def test_each_distance_is_formed_once(monkeypatch):
+    # the single-point model picks its form from its own distances, so a solve
+    # that starts in the shifted form makes one distance pass at its start
+    # point; a batch forms its (m, n) distances once for all of its heights
+    calls = []
+    true_distances = cone_module.signed_distances
+
+    def recording(poly, points):
+        calls.append(np.array(points, dtype=float))
+        return true_distances(poly, points)
+
+    monkeypatch.setattr(cone_module, "signed_distances", recording)
+    start = centroid(TRAPEZOID)
+    assert _local_model(TRAPEZOID, start, 1e-9)[5]  # the shifted form
+    calls.clear()
+    assert center_at_height(TRAPEZOID, 1e-9).converged
+    assert sum(np.array_equal(p, start) for p in calls) == 1
+    calls.clear()
+    pts = np.random.default_rng(31).uniform(-3.0, 3.0, size=(40, 2))
+    assert boundary_areas(TRAPEZOID, pts, np.geomspace(0.1, 10.0, 7)).shape == (7, 40)
+    assert [p.shape for p in calls] == [(40, 2)]
 
 
 @pytest.mark.parametrize("bad", [0.0, -2.0, math.inf, math.nan])
 def test_boundary_areas_rejects_a_bad_height_in_the_list(bad):
     message = re.escape(f"height must be finite and > 0, got {bad}")
     with pytest.raises(InputError, match=f"^{message}$"):
-        boundary_areas(TRAPEZOID, np.ones((3, 5, 2)), [1.0, bad, 3.0])
+        boundary_areas(TRAPEZOID, np.ones((5, 2)), [1.0, bad, 3.0])
 
 
 def test_boundary_areas_matches_scalar_evaluation_on_translated_bases():

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -128,6 +129,32 @@ def test_trapezoid_center_tends_to_the_flat_and_tall_limits():
         assert not res.converged or np.linalg.norm(res.center - limit) <= tol, h
 
 
+def test_converged_centers_lie_within_tol_of_a_60_digit_reference():
+    # converged=True promises |x - x*| <= TOL * D, x* the minimizer of the float
+    # polygon; helpers.decimal_center finds x* in decimal at 60 digits
+    rng = np.random.default_rng(11)
+    trapezoid = np.array([(0.0, -1.0), (2.0, -2.0), (2.0, 2.0), (0.0, 1.0)])
+    bases = [
+        helpers.random_convex_polygon(rng),
+        helpers.random_star_polygon(rng),
+        helpers.random_triangle(rng),
+        [(0.0, 0.0), (100.0, 0.0), (100.0, 1.0), (0.0, 1.0)],
+        U_SHAPE.vertices,
+        trapezoid + 1e3,
+    ]
+    errors = []
+    for vertices in bases:
+        poly = build_polygon(vertices)
+        for ratio in (1e-6, 1e-3, 1.0, 1e3):
+            res = center_at_height(poly, ratio * poly.diameter)
+            if res.converged:
+                x, y = helpers.decimal_center(poly.vertices, res.height)
+                off = math.hypot(float(x - Decimal(res.center[0])), float(y - Decimal(res.center[1])))
+                errors.append(off / (optimize_module.TOL * poly.diameter))
+    assert len(errors) >= 23  # the U at h/D = 1e-6 ends unconverged, and flagged
+    assert max(errors) <= 1.0  # the worst seen is 0.025, on the U at h/D = 1e-3
+
+
 def test_vertex_starts_are_never_marked_converged_off_center():
     # within about h of an edge line the Hessian weight a / (2h) makes the
     # Newton step about h long, shorter than tol * diameter at small h
@@ -220,8 +247,8 @@ def test_shifted_form_matches_the_direct_form():
         for h in (0.3, 1.0, 3.0):
             for _ in range(10):
                 p = rng.uniform(lo - 0.5, hi + 0.5)
-                d, slant, direct, grad, _ = _local_model(poly, p, h, False)
-                _, _, shifted, grad_shifted, _ = _local_model(poly, p, h, True)
+                d, slant, direct, grad, _, _ = _local_model(poly, p, h, False)
+                _, _, shifted, grad_shifted, _, _ = _local_model(poly, p, h, True)
                 bound = len(d) * np.finfo(float).eps * float(poly.lengths @ (slant + np.abs(d)))
                 assert abs(direct - shifted - poly.area) <= bound
                 scale = max(np.linalg.norm(grad), 1e-9 * poly.perimeter)

@@ -122,7 +122,7 @@ def test_grid_scan_never_leaves_the_declared_box(monkeypatch):
     ratio_point, height, _ = grid_min_ratio(TRAPEZOID, spec, h_range=(0.5, 8.0), h_samples=5)
     rounds = spec.refine_rounds + 1
     assert len(seen) == rounds + rounds  # one kernel call per round, all heights at once
-    assert min(batch.shape[1] for batch in seen) < 41 * 41  # tiles were dropped
+    assert min(len(batch) for batch in seen) < 41 * 41  # tiles were dropped
     lo = np.array(box[0])
     hi = np.array(box[1])
     for batch in seen + centers:  # the scanned rectangles and the tile centers
@@ -143,12 +143,12 @@ def keep_every_tile(poly, centers, h, rho):
 
 
 def recorded_scan(monkeypatch, scan, prune=True):
-    """The points of every kernel call of ``scan()`` and its result."""
+    """The points and heights of every kernel call of ``scan()`` and its result."""
     calls = []
     true_eval = oracle_module.boundary_areas
 
     def recording(poly, points, h):
-        calls.append(np.array(points, dtype=float))
+        calls.append((np.array(points, dtype=float), np.array(h, dtype=float)))
         return true_eval(poly, points, h)
 
     with monkeypatch.context() as patch:
@@ -163,41 +163,33 @@ def test_grid_axes_are_linspace_bit_for_bit(monkeypatch):
     r = 41
     spec = GridSpec(box=box, resolution=r, refine_rounds=3)
     full, full_result = recorded_scan(monkeypatch, lambda: grid_min_ratio(TRAPEZOID, spec, h_samples=3), False)
-    assert len(full) == spec.refine_rounds + 1
-    for grids in full[0].reshape(3, r, r, 2):  # the declared box, at every height
-        assert grids[:, 0, 0].tobytes() == np.linspace(box[0][0], box[1][0], r).tobytes()
-        assert grids[0, :, 1].tobytes() == np.linspace(box[0][1], box[1][1], r).tobytes()
-    for grids in (g for batch in full for g in batch.reshape(-1, r, r, 2)):  # every box: an x-major product grid
+    assert [len(hs) for _, hs in full] == [3] * (spec.refine_rounds + 1)  # one grid, every height
+    grids = full[0][0].reshape(r, r, 2)  # the declared box
+    assert grids[:, 0, 0].tobytes() == np.linspace(box[0][0], box[1][0], r).tobytes()
+    assert grids[0, :, 1].tobytes() == np.linspace(box[0][1], box[1][1], r).tobytes()
+    for grids in (points.reshape(r, r, 2) for points, _ in full):  # every box: an x-major product grid
         x, y = grids[:, 0, 0], grids[0, :, 1]
         assert x.tobytes() == np.linspace(x[0], x[-1], r).tobytes()
         assert y.tobytes() == np.linspace(y[0], y[-1], r).tobytes()
         assert np.array_equal(grids, np.stack(np.meshgrid(x, y, indexing="ij"), axis=-1))
     # the heights of every round, from the declared interval on, are linspace too
-    heights, true_eval = [], oracle_module.boundary_areas
-
-    def recording(poly, points, h):
-        heights.append(np.array(h, dtype=float))
-        return true_eval(poly, points, h)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(oracle_module, "boundary_areas", recording)
-        grid_min_ratio(TRAPEZOID, spec, h_range=(2.6, 6.8), h_samples=7)
+    calls, _ = recorded_scan(monkeypatch, lambda: grid_min_ratio(TRAPEZOID, spec, h_range=(2.6, 6.8), h_samples=7))
+    heights = [hs for _, hs in calls]
     assert len(heights) == spec.refine_rounds + 1
     assert heights[0].tobytes() == np.linspace(2.6, 6.8, 7).tobytes()  # six steps of 0.7 end an ulp short of 6.8
     for hs in heights:
         assert hs.tobytes() == np.linspace(hs[0], hs[-1], 7).tobytes()
     # with tiles dropped, each round scans an index rectangle of the same grid
     pruned, result = recorded_scan(monkeypatch, lambda: grid_min_ratio(TRAPEZOID, spec, h_samples=3))
-    assert [len(batch) for batch in pruned] == [3] * len(full)
-    assert min(batch.shape[1] for batch in pruned) < r * r
-    for rectangle, grid in zip(pruned, full):
-        grid = grid[0].reshape(r, r, 2)
-        i0 = int(np.flatnonzero(grid[:, 0, 0] == rectangle[0, 0, 0])[0])
-        j0 = int(np.flatnonzero(grid[0, :, 1] == rectangle[0, 0, 1])[0])
-        ny = int(np.count_nonzero(rectangle[0, :, 0] == rectangle[0, 0, 0]))
-        nx = rectangle.shape[1] // ny
-        assert rectangle[0].tobytes() == grid[i0:i0 + nx, j0:j0 + ny].tobytes()
-        assert all(np.array_equal(slab, rectangle[0]) for slab in rectangle)
+    assert [len(hs) for _, hs in pruned] == [3] * len(full)
+    assert min(len(rectangle) for rectangle, _ in pruned) < r * r
+    for (rectangle, _), (grid, _) in zip(pruned, full):
+        grid = grid.reshape(r, r, 2)
+        i0 = int(np.flatnonzero(grid[:, 0, 0] == rectangle[0, 0])[0])
+        j0 = int(np.flatnonzero(grid[0, :, 1] == rectangle[0, 1])[0])
+        ny = int(np.count_nonzero(rectangle[:, 0] == rectangle[0, 0]))
+        nx = len(rectangle) // ny
+        assert rectangle.tobytes() == grid[i0:i0 + nx, j0:j0 + ny].tobytes()
     assert result[0].tobytes() == full_result[0].tobytes() and result[1:] == full_result[1:]
 
 
@@ -248,9 +240,9 @@ def test_lockstep_scan_splits_large_batches(monkeypatch):
     m = len(TRAPEZOID.lengths)
     full, full_result = recorded_scan(monkeypatch, lambda: grid_min_ratio(TRAPEZOID), False)
     spec = default_grid_spec(TRAPEZOID)
-    assert [len(batch) for batch in full] == [25, 8] * (spec.refine_rounds + 1)
+    assert [len(hs) for _, hs in full] == [25, 8] * (spec.refine_rounds + 1)
     pruned, result = recorded_scan(monkeypatch, lambda: grid_min_ratio(TRAPEZOID))
-    assert all(batch.size // 2 * m <= 2**22 for batch in pruned)
+    assert all(len(hs) * len(points) * m <= 2**22 for points, hs in pruned)
     assert len(pruned) == spec.refine_rounds + 1  # each rectangle fits in one call
     assert result[0].tobytes() == full_result[0].tobytes() and result[1:] == full_result[1:]
     point, height, value = result
@@ -293,9 +285,7 @@ def flat_scan_point(monkeypatch, others, first):
         lower[:, 0], lower[:, -1] = first, math.nan
         return np.zeros_like(lower), lower, np.zeros_like(lower)
 
-    monkeypatch.setattr(
-        oracle_module, "boundary_areas", lambda poly, points, h: np.zeros(np.shape(points)[:-1])
-    )
+    monkeypatch.setattr(oracle_module, "boundary_areas", lambda poly, points, h: np.zeros((len(h), len(points))))
     monkeypatch.setattr(oracle_module, "_tile_bounds", bounds)
     spec = GridSpec(box=((-2.0, 3.0), (4.0, 7.0)), resolution=41, refine_rounds=3)
     point, value = grid_min_boundary(TRAPEZOID, 1.0, spec)
