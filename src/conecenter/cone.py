@@ -48,7 +48,7 @@ class Apex:
 
 def boundary_area(poly: Polygon, apex: Apex) -> float:
     """Base area plus the lateral faces, ``sum(a_i * sqrt(d_i**2 + h**2)) / 2``."""
-    return poly.area + _local_model(poly, apex.projection, apex.height, False)[2]
+    return poly.area + _local_model(poly, apex.projection, apex.height, False)[0]
 
 
 def boundary_areas(poly: Polygon, points, height) -> np.ndarray:
@@ -99,9 +99,9 @@ def _kernel(poly: Polygon, points, h, bound, keep=False):
 
 
 def _local_model(poly: Polygon, x, h, shifted=None):
-    """The single-point model at projection ``x`` and checked height ``h``: distances
-    ``d``, slants ``s = hypot(d, h)``, lateral area, its gradient ``sum_i w_i n_i``, the
-    weights ``w`` and the form, ``shifted``.  The direct form is ``sum_i a_i s_i / 2``,
+    """The single-point model at projection ``x`` and checked height ``h``: lateral area,
+    distances ``d``, slants ``s = hypot(d, h)``, the area's gradient ``sum_i w_i n_i``,
+    the weights ``w`` and the form, ``shifted``.  The direct form is ``sum_i a_i s_i / 2``,
     ``w_i = a_i d_i / s_i / 2``.  The shifted form puts ``r_i = s_i - d_i = h * (h / (s_i +
     |d_i|)) + (|d_i| - d_i)`` for ``s_i`` in the value and ``-r_i`` for ``d_i`` in ``w``: as
     ``sum_i a_i n_i = 0`` and ``sum_i a_i d_i = 2 * area``, that is the direct form less the
@@ -120,7 +120,7 @@ def _local_model(poly: Polygon, x, h, shifted=None):
         value, w = float(r @ half), -half * r / slant
     else:
         value, w = float(slant @ half), half * d / slant
-    return d, slant, value, poly.normals.T @ w, w, shifted
+    return value, d, slant, poly.normals.T @ w, w, shifted
 
 
 def cone_volume(poly: Polygon, height) -> float:
@@ -174,6 +174,6 @@ def equal_angle_residual(poly: Polygon, point, height) -> float:
     same angle, as they do over the incenter of a triangle.
     """
     h = _positive_height(height)
-    d, slant = _local_model(poly, _finite_point(point, "apex projection"), h, False)[:2]
+    d, slant = _local_model(poly, _finite_point(point, "apex projection"), h, False)[1:3]
     s = d / slant
     return float(s.max() - s.min())

@@ -181,18 +181,19 @@ def decimal_center(vertices, h, digits=60):
     """Fixed-height center of the float polygon ``vertices``, to ``digits`` digits.
 
     Damped Newton in ``decimal`` from the vertex mean, on the exact float
-    vertices and height.  With edge vector ``e_i`` from vertex ``v_i``, edge
-    ``i`` adds ``sqrt(q_i**2 + |e_i|**2 h**2) / 2`` to the boundary area, where
-    ``q_i = e_i x (x - v_i) = a_i d_i`` is polynomial in ``x``: one square root a
-    term, and no normal is rounded.  The value is strictly convex, so any start
-    leads to its one minimizer; the loop takes the Newton step that is at most
-    1e-20 of the base's extent and stops.  Returns the center as two ``Decimal``.
+    vertices and height (a float or a ``Decimal``).  With edge vector ``e_i``
+    from vertex ``v_i``, edge ``i`` adds ``sqrt(q_i**2 + |e_i|**2 h**2) / 2`` to
+    the boundary area, where ``q_i = e_i x (x - v_i) = a_i d_i`` is polynomial in
+    ``x``: one square root a term, and no normal is rounded.  The value is
+    strictly convex, so any start leads to its one minimizer; the loop takes the
+    Newton step that is at most 1e-20 of the base's extent and stops.  Returns
+    the center as two ``Decimal``.
     """
     with decimal.localcontext() as ctx:
         ctx.prec = digits
         v = [tuple(decimal.Decimal(float(c)) for c in p) for p in vertices]
         edges = [(w[0] - p[0], w[1] - p[1], p) for p, w in zip(v, v[1:] + v[:1])]
-        hh = decimal.Decimal(float(h)) ** 2
+        hh = decimal.Decimal(h) ** 2
         size = max(max(abs(p[k] - w[k]) for p in v for w in v) for k in (0, 1))
 
         def model(x, y):
@@ -221,3 +222,55 @@ def decimal_center(vertices, h, digits=60):
                     raise RuntimeError("decimal_center: backtracking failed")
             x, y = x + t * sx, y + t * sy
     raise RuntimeError("decimal_center did not converge in 200 steps")
+
+
+def decimal_optimal_cone(vertices, digits=60):
+    """Optimal cone of the float polygon ``vertices``: its center and ``u = log h`` as
+    three ``Decimal``, to about ``digits`` digits.
+
+    By the envelope theorem the slope of ``log(B**3 / volume**2)`` in ``u`` along the
+    fixed-height centers is ``3 h (dB/dh) / B - 2``, where ``2 dB/dh = sum_i h |e_i|**2
+    / s_i`` at the :func:`decimal_center` of height ``h``, with ``s_i = sqrt(q_i**2 +
+    |e_i|**2 h**2)`` as there.  The ratio is quasi-convex, so the slope changes sign
+    once, at the optimal height.  A secant in ``u`` from ``log(2 sqrt(2) * 2 area /
+    perimeter)`` finds it; a secant point outside the bracket of known signs is
+    replaced by the bracket's midpoint.  It stops at a step of at most 1e-25.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        v = [tuple(decimal.Decimal(float(c)) for c in p) for p in vertices]
+        edges = [(w[0] - p[0], w[1] - p[1], p) for p, w in zip(v, v[1:] + v[:1])]
+        area = abs(sum(p[0] * w[1] - w[0] * p[1] for p, w in zip(v, v[1:] + v[:1]))) / 2
+        perimeter = sum((ex * ex + ey * ey).sqrt() for ex, ey, _ in edges)
+
+        def slope(u):
+            h = u.exp()
+            x, y = decimal_center(vertices, h, digits)
+            lateral, rate = decimal.Decimal(0), decimal.Decimal(0)
+            for ex, ey, (vx, vy) in edges:
+                q = ex * (y - vy) - ey * (x - vx)
+                tail = (ex * ex + ey * ey) * h * h
+                s = (q * q + tail).sqrt()
+                lateral, rate = lateral + s, rate + tail / s
+            return 3 * rate / (2 * area + lateral) - 2, x, y  # h dB/dh = rate / 2, B = area + lateral / 2
+
+        points = []  # (u, slope) pairs, newest last
+        u = (4 * decimal.Decimal(2).sqrt() * area / perimeter).ln()
+        for _ in range(100):
+            g, x, y = slope(u)
+            points.append((u, g))
+            below = [p for p, q in points if q < 0]
+            above = [p for p, q in points if q > 0]
+            if g == 0:
+                return x, y, u
+            if len(points) == 1:
+                step = -g  # the slope rises by about 1 per unit of u
+            else:
+                (u0, g0), (u1, g1) = points[-2:]
+                step = -g1 * (u1 - u0) / (g1 - g0)
+            if below and above and not max(below) < u + step < min(above):
+                step = (max(below) + min(above)) / 2 - u
+            if abs(step) <= decimal.Decimal("1e-25"):
+                return x, y, u
+            u += step
+    raise RuntimeError("decimal_optimal_cone did not converge in 100 steps")

@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -247,15 +248,15 @@ def test_shifted_form_matches_the_direct_form():
         for h in (0.3, 1.0, 3.0):
             for _ in range(10):
                 p = rng.uniform(lo - 0.5, hi + 0.5)
-                d, slant, direct, grad, _, _ = _local_model(poly, p, h, False)
-                _, _, shifted, grad_shifted, _, _ = _local_model(poly, p, h, True)
+                direct, d, slant, grad, _, _ = _local_model(poly, p, h, False)
+                shifted, _, _, grad_shifted, _, _ = _local_model(poly, p, h, True)
                 bound = len(d) * np.finfo(float).eps * float(poly.lengths @ (slant + np.abs(d)))
                 assert abs(direct - shifted - poly.area) <= bound
                 scale = max(np.linalg.norm(grad), 1e-9 * poly.perimeter)
                 assert np.linalg.norm(grad_shifted - grad) <= 1e-12 * scale
                 for form in (False, True):
                     approx = finite_diff_gradient(
-                        lambda q: _local_model(poly, q, h, form)[2], p, step
+                        lambda q: _local_model(poly, q, h, form)[0], p, step
                     )
                     assert np.linalg.norm(approx - grad) <= 1e-6 * scale
                     assert np.linalg.norm(approx - grad_shifted) <= 1e-6 * scale
@@ -341,14 +342,21 @@ def test_point_functions_reject_a_point_that_is_not_finite_and_2d(point):
             call()
 
 
-def test_iteration_cap_returns_best_iterate_unconverged(monkeypatch):
+@pytest.mark.parametrize("solver", ["center_at_height", "optimal_cone"])
+def test_iteration_cap_returns_best_iterate_unconverged(monkeypatch, solver):
+    # both solvers run optimize._newton; uncapped, each takes 3 damped steps here
     monkeypatch.setattr(optimize_module, "_MAX_STEPS", 1)
-    res = center_at_height(TRAPEZOID, 1.0)
+    if solver == "center_at_height":
+        res = center_at_height(TRAPEZOID, 1.0)
+        value, start = res.boundary_area, boundary_area(TRAPEZOID, Apex(centroid(TRAPEZOID), 1.0))
+    else:
+        res = optimal_cone(TRAPEZOID)
+        height = OPTIMAL_HEIGHT_RATIO * 2.0 * TRAPEZOID.area / TRAPEZOID.perimeter
+        value, start = res.ratio, isoperimetric_ratio(TRAPEZOID, Apex(centroid(TRAPEZOID), height))
     assert not res.converged
     assert res.iterations == 1
-    assert np.isfinite(res.boundary_area)
-    start = boundary_area(TRAPEZOID, Apex(centroid(TRAPEZOID), 1.0))
-    assert res.boundary_area <= start
+    assert np.isfinite(value)
+    assert value <= start
 
 
 def test_thin_triangle_converges_when_line_search_reaches_rounding_floor():
@@ -471,6 +479,42 @@ def test_optimal_cone_stops_when_no_damped_step_is_accepted(monkeypatch):
     [certified] = best.inner_results
     assert isinstance(certified, CenterResult)
     assert certified.height == best.height == math.exp(log_heights[0])
+
+
+def test_optimal_cone_inverts_no_subnormal_eigenvalue():
+    # far from the origin, a trial Hessian of this thin quadrilateral has eigenvalues
+    # of 5e-324 to 1e-313; taken for positive definite, 1 / (3 lam) overflowed
+    quadrilateral = [(0.0, 0.0), (1.0, 0.0), (0.75, 0.01), (0.25, 0.01)]
+    poly = build_polygon(helpers.rotate_translate(quadrilateral, math.atan2(4.0, 3.0), (1e5, 1e5)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        best = optimal_cone(poly)
+    assert math.isfinite(best.ratio)
+
+
+def test_converged_optimal_cones_lie_within_tol_of_a_60_digit_reference():
+    # converged=True promises |x - x*| <= TOL * D and |log h - log h*| <= TOL, (x*, h*)
+    # the optimal cone of the float polygon; helpers.decimal_optimal_cone finds it at 60 digits
+    rng = np.random.default_rng(11)
+    trapezoid = np.array([(0.0, -1.0), (2.0, -2.0), (2.0, 2.0), (0.0, 1.0)])
+    rectangle = np.array([(0.0, 0.0), (100.0, 0.0), (100.0, 1.0), (0.0, 1.0)])
+    bases = [helpers.random_convex_polygon(rng) for _ in range(8)]
+    bases += [helpers.random_star_polygon(rng) for _ in range(8)]
+    bases += [helpers.random_triangle(rng) for _ in range(8)]
+    bases += [rectangle, helpers.rotate_translate(rectangle, math.atan2(4.0, 3.0), (0.0, 0.0))]
+    bases += [U_SHAPE.vertices, trapezoid, trapezoid + 1e3]
+    errors_x, errors_u = [], []
+    for vertices in bases:
+        poly = build_polygon(vertices)
+        best = optimal_cone(poly)
+        if best.converged:
+            x, y, u = helpers.decimal_optimal_cone(poly.vertices)
+            off = math.hypot(float(x - Decimal(best.center[0])), float(y - Decimal(best.center[1])))
+            errors_x.append(off / (optimize_module.TOL * poly.diameter))
+            errors_u.append(abs(float(u - Decimal(best.height).ln())) / optimize_module.TOL)
+    assert len(errors_x) == len(bases)  # every one of these converges
+    # the worst seen are 3.3e-4 and 2.5e-4, both on the trapezoid shifted by 1e3
+    assert max(errors_x) <= 1.0 and max(errors_u) <= 1.0
 
 
 def test_optimal_trapezoid_cone():
