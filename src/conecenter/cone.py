@@ -47,8 +47,9 @@ class Apex:
 
 
 def boundary_area(poly: Polygon, apex: Apex) -> float:
-    """Base area plus the lateral faces, ``sum(a_i * sqrt(d_i**2 + h**2)) / 2``."""
-    return poly.area + _local_model(poly, apex.projection, apex.height, False)[0]
+    """Base area plus the lateral faces, ``sum(a_i * sqrt(d_i**2 + h**2)) / 2``, or ``inf``."""
+    with np.errstate(over="ignore"):
+        return poly.area + _local_model(poly, apex.projection, apex.height, False)[0]
 
 
 def boundary_areas(poly: Polygon, points, height) -> np.ndarray:
@@ -57,11 +58,11 @@ def boundary_areas(poly: Polygon, points, height) -> np.ndarray:
 
     The grid oracle's batch kernel.  It forms the distances once, edge-major,
     as ``(m, n)`` rows ``n`` long, and sums the edges as ``(a / 2) @ slants``.
-    At height ``h_k`` they and ``h_k`` are scaled exactly by ``2**-e_k``, ``e_k`` two
-    above the exponent of ``max(h_k, max|p|, max_i |c_i|)``, which bounds
-    both since ``|d_i| <= sqrt(2) * max|p| + |c_i|``; then ``sqrt(d*d + h*h)``
-    is formed in place: no square overflows, and one that underflows is below
-    2**-1000 of the bound's square.  That costs about a tenth of ``np.hypot``,
+    At height ``h_k`` they and ``h_k`` are scaled exactly by ``2**-e_k``, ``e_k`` two above
+    the exponent of ``max(h_k, r, max_i |c_i|)`` with ``r = max(max p - min origin, max
+    origin - min p)`` over all coordinates, which bounds both as ``|d_i| <= sqrt(2) * r +
+    |c_i|``; then ``sqrt(d*d + h*h)`` is formed in place: no square overflows, and one that
+    underflows is below 2**-1000 of the bound's square.  That costs about a tenth of ``np.hypot``,
     which the single-point model ``_local_model`` keeps for :func:`boundary_area`,
     :func:`equal_angle_residual` and the solvers (their rounding allowance is
     derived for it, and at m <= 12 edges their cost is call overhead).  So a value
@@ -74,28 +75,28 @@ def boundary_areas(poly: Polygon, points, height) -> np.ndarray:
     points = _floats(points)
     single = np.ndim(height) == 0
     h = np.array([_positive_height(x) for x in ([height] if single else height)])
-    top = poly._max_abs_offset
-    bound = max(points.max(initial=top), -points.min(initial=-top))
-    if not math.isfinite(bound):
-        raise InputError("apex projections must be finite")
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise InputError(f"points must have shape (n, 2), got {points.shape}")
-    areas = _kernel(poly, points, h, np.maximum(bound, h))[0]
+    areas = _kernel(poly, points, h)[0]
     return areas[0] if single else areas
 
 
-def _kernel(poly: Polygon, points, h, bound, keep=False):
-    """:func:`boundary_areas` on checked ``(n, 2)`` projections at ``k`` heights: the
-    areas ``(k, n)``, the distances and slants ``(k, m, n)`` scaled by ``2**-e``, and
-    ``e``.  The distances are kept apart from the slants, at the cost of a copy, only
-    with ``keep``."""
+def _kernel(poly: Polygon, points, h, keep=False):
+    """:func:`boundary_areas` on float projections, checked finite, then ``(n, 2)``, at ``k``
+    heights: the areas ``(k, n)``, the distances and slants ``(k, m, n)`` scaled by ``2**-e``,
+    ``e`` and the scale bound ``(k, 1)``.  ``keep`` keeps the distances apart, with a copy."""
+    lo, hi = sorted(poly.origin.tolist())
+    r = max(points.max(initial=-math.inf) - lo, hi - points.min(initial=math.inf))
+    if not r < math.inf:  # nan too
+        raise InputError("apex projections must be finite")
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise InputError(f"points must have shape (n, 2), got {points.shape}")
+    bound = np.maximum(max(poly._max_abs_offset, r), h)
     e = np.frexp(bound)[1] + 2
     d = signed_distances(poly, points).T * np.ldexp(1.0, -e)[:, None, None]
     s = np.multiply(d, d, out=None if keep else d)
     s += (np.ldexp(h, -e) ** 2)[:, None, None]
     np.sqrt(s, out=s)
     with np.errstate(over="ignore"):
-        return poly.area + np.ldexp(poly._half_lengths @ s, e[:, None]), d, s, e
+        return poly.area + np.ldexp(poly._half_lengths @ s, e[:, None]), d, s, e, bound[:, None]
 
 
 def _local_model(poly: Polygon, x, h, shifted=None):
@@ -106,8 +107,9 @@ def _local_model(poly: Polygon, x, h, shifted=None):
     |d_i|)) + (|d_i| - d_i)`` for ``s_i`` in the value and ``-r_i`` for ``d_i`` in ``w``: as
     ``sum_i a_i n_i = 0`` and ``sum_i a_i d_i = 2 * area``, that is the direct form less the
     area, with no cancellation where ``h << |d_i|``.  Sums run over ``a_i / 2``, finite
-    where ``sum_i a_i s_i`` is not.  With ``shifted`` None it takes the form whose weights
-    have the smaller ``sum_i |w_i|``: rounding error in the gradient scales with it."""
+    where ``sum_i a_i s_i`` is not; the public callers, not the solvers, read one beyond the
+    float range as ``inf`` (``np.errstate``).  With ``shifted`` None it takes the form whose
+    weights have the smaller ``sum_i |w_i|``: rounding error in the gradient scales with it."""
     half = poly._half_lengths
     d = signed_distances(poly, x)
     slant = np.hypot(d, h)
@@ -174,6 +176,7 @@ def equal_angle_residual(poly: Polygon, point, height) -> float:
     same angle, as they do over the incenter of a triangle.
     """
     h = _positive_height(height)
-    d, slant = _local_model(poly, _finite_point(point, "apex projection"), h, False)[1:3]
+    with np.errstate(over="ignore"):  # the lateral sum it discards may be beyond the float range
+        d, slant = _local_model(poly, _finite_point(point, "apex projection"), h, False)[1:3]
     s = d / slant
     return float(s.max() - s.min())

@@ -8,10 +8,14 @@ Vertices are stored counterclockwise; clockwise input is reversed during
 construction.  Edge ``i`` joins vertex ``i`` to vertex ``i + 1`` (cyclic)
 and carries its supporting line in Hesse normal form,
 
-    d_i(x) = normals[i] @ x + offsets[i],
+    d_i(x) = normals[i] @ (x - origin) + offsets[i],
 
 with the unit normal pointing to the interior side of the edge.  At any
 interior point of a convex polygon every signed distance is positive.
+``origin``, 0 near 0, is a multiple of a power of two near the polygon: the
+area, offsets and centers are formed on the exact ``vertices - origin``, so a
+far shift costs no digits; answers keep input coordinates.  Beyond the float
+range a diameter or area is an ``InputError``; a cone's area, ``inf`` unwarned.
 """
 
 from __future__ import annotations
@@ -55,8 +59,9 @@ class Polygon:
     ``normals`` ``(m, 2)``, ``offsets`` ``(m,)`` and ``lengths`` ``(m,)``
     describes edge ``i``, from ``vertices[i]`` to ``vertices[i + 1]``
     (cyclic): its inward unit normal, the offset of its supporting line and
-    its length.  ``area`` is the positive shoelace area and ``diameter`` the
-    largest pairwise vertex distance.
+    its length.  ``area`` is the positive shoelace area, ``diameter`` the
+    largest pairwise vertex distance and ``origin`` the bounding-box center
+    truncated to a multiple of the power of two at or above the diameter.
     """
 
     vertices: np.ndarray
@@ -65,6 +70,7 @@ class Polygon:
     lengths: np.ndarray
     area: float
     diameter: float
+    origin: np.ndarray
 
     @cached_property
     def perimeter(self) -> float:
@@ -87,26 +93,23 @@ class Polygon:
 
     @cached_property
     def is_convex(self) -> bool:
-        """True when every turn is a left turn (collinear vertices allowed)."""
-        edge = np.roll(self.vertices, -1, axis=0) - self.vertices
-        nxt = np.roll(edge, -1, axis=0)
-        cross = edge[:, 0] * nxt[:, 1] - edge[:, 1] * nxt[:, 0]
-        scale = np.linalg.norm(edge, axis=1) * np.linalg.norm(nxt, axis=1)
-        return bool(np.all(cross >= -1e-12 * scale))
+        """True when each unit normal turns left into the next, or right by under 1e-12."""
+        n, nxt = self.normals, np.roll(self.normals, -1, axis=0)
+        return bool(np.all(n[:, 0] * nxt[:, 1] - n[:, 1] * nxt[:, 0] >= -1e-12))
 
     @cached_property
     def _centroid(self) -> np.ndarray:
-        # every cold solve starts here; centroid() hands out copies.  The sums
-        # are cubic in the coordinates, so they run on the vertices scaled
-        # exactly by a power of two into [0.5, 1), where they cannot overflow.
-        _, e = math.frexp(float(np.abs(self.vertices).max()))
-        v = np.ldexp(self.vertices, -e)
+        # every cold solve starts here; centroid() hands out copies.  The sums are cubic, so
+        # they run on vertices - origin scaled by 2**-e into [0.5, 1), where they cannot overflow
+        v = self.vertices - self.origin
+        _, e = math.frexp(float(np.abs(v).max()))
+        v = np.ldexp(v, -e)
         w = np.roll(v, -1, axis=0)
         cross = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
         six_area = 6.0 * math.ldexp(self.area, -2 * e)
         cx = float(((v[:, 0] + w[:, 0]) * cross).sum() / six_area)
         cy = float(((v[:, 1] + w[:, 1]) * cross).sum() / six_area)
-        return _readonly([math.ldexp(cx, e), math.ldexp(cy, e)])
+        return _readonly(np.ldexp([cx, cy], e) + self.origin)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +168,7 @@ def build_polygon(points) -> Polygon:
     ------
     InputError
         Fewer than three points, non-finite coordinates, coordinates too
-        large for the diameter or the shoelace area to be finite,
+        large for the diameter or the shoelace area about ``origin`` to be finite,
         duplicate consecutive vertices, area at most
         ``1e-12 * diameter**2``, or a closed boundary that is not simple
         (the message names the first pair of edges that touch).
@@ -183,7 +186,11 @@ def build_polygon(points) -> Polygon:
     with np.errstate(over="ignore", invalid="ignore"):
         diff = verts[:, None, :] - verts[None, :, :]
         diameter = float(np.sqrt((diff**2).sum(axis=2)).max())
-        signed = _shoelace(verts)
+        middle = 0.5 * verts.min(axis=0) + 0.5 * verts.max(axis=0)
+        # truncated to a multiple of 2**k >= diameter: finite, and verts - origin is exact
+        origin = middle - np.fmod(middle, math.ldexp(1.0, min(math.frexp(diameter)[1], 1023)))
+        local = verts - origin
+        signed = _shoelace(local)
     if not np.isfinite(diameter):
         raise InputError("vertex coordinates are too large: the diameter overflows")
     if diameter == 0.0:
@@ -191,21 +198,19 @@ def build_polygon(points) -> Polygon:
     if not np.isfinite(signed):
         raise InputError("vertex coordinates are too large: the area overflows")
     if signed < 0:
-        verts = verts[::-1].copy()
-        diff = diff[::-1, ::-1]
-        signed = -signed
-    edge_vec = np.roll(verts, -1, axis=0) - verts
+        verts, local, diff, signed = verts[::-1].copy(), local[::-1].copy(), diff[::-1, ::-1], -signed
+    edge_vec = np.roll(local, -1, axis=0) - local
     lengths = np.linalg.norm(edge_vec, axis=1)
     if np.any(lengths <= 1e-12 * diameter):
         raise InputError("duplicate consecutive vertices")
     if signed <= AREA_EPS * diameter**2:
         raise InputError("polygon area is numerically zero")
-    _check_simple(verts, edge_vec, diff)
+    _check_simple(local, edge_vec, diff)
 
     tangents = edge_vec / lengths[:, None]
     # left of the travel direction, which is the interior side for CCW order
     normals = np.column_stack([-tangents[:, 1], tangents[:, 0]])
-    offsets = -(normals * verts).sum(axis=1)
+    offsets = -(normals * local).sum(axis=1)
     return Polygon(
         vertices=_readonly(verts),
         normals=_readonly(normals),
@@ -213,6 +218,7 @@ def build_polygon(points) -> Polygon:
         lengths=_readonly(lengths),
         area=float(signed),
         diameter=diameter,
+        origin=_readonly(origin),
     )
 
 
@@ -228,10 +234,9 @@ def signed_distances(poly: Polygon, points) -> np.ndarray:
     """
     p = np.asarray(points, dtype=float)
     if p.ndim == 1:
-        d = p @ poly.normals.T
-        d += poly.offsets
-        return d
-    d = poly.normals @ p.swapaxes(-1, -2)
+        return (p - poly.origin) @ poly.normals.T + poly.offsets
+    # a C-ordered result subtracts along n, not over rows of two
+    d = poly.normals @ np.subtract(p.swapaxes(-1, -2), poly.origin[:, None], order="C")
     d += poly.offsets[:, None]
     return d.swapaxes(-1, -2)
 
@@ -239,24 +244,22 @@ def signed_distances(poly: Polygon, points) -> np.ndarray:
 def triangle_incenter(poly: Polygon) -> Circle:
     """Incircle of a triangle from the side-length barycentric formula.
 
-    The center is ``(a*A + b*B + c*C) / (a + b + c)`` with each side length
-    taken opposite its vertex; the radius is ``2 * area / perimeter``.
+    The center is ``(a*A + b*B + c*C) / (a + b + c)``, about ``origin``, with each
+    side length taken opposite its vertex; the radius is ``2 * area / perimeter``.
     """
     if len(poly.vertices) != 3:
         raise InputError(f"incenter needs a triangle, got {len(poly.vertices)} vertices")
-    a_v, b_v, c_v = poly.vertices
-    a = float(np.linalg.norm(c_v - b_v))
-    b = float(np.linalg.norm(a_v - c_v))
-    c = float(np.linalg.norm(b_v - a_v))
-    center = (a * a_v + b * b_v + c * c_v) / (a + b + c)
-    return Circle(center=_readonly(center), radius=2.0 * poly.area / (a + b + c))
+    a_v, b_v, c_v = poly.vertices - poly.origin
+    a, b, c = poly.lengths[[1, 2, 0]].tolist()  # edge i + 1 lies opposite vertex i
+    center = (a * a_v + b * b_v + c * c_v) / poly.perimeter + poly.origin
+    return Circle(center=_readonly(center), radius=2.0 * poly.area / poly.perimeter)
 
 
 def chebyshev_center(poly: Polygon) -> Circle:
     """Deepest point of a convex polygon: maximize the least edge distance.
 
     Solved as the linear program ``max rho`` subject to
-    ``n_i @ x + c_i >= rho`` for every edge.  When the optimum is attained
+    ``n_i @ (x - origin) + c_i >= rho`` for every edge.  When the optimum is attained
     on a segment, any optimal point may be returned.
     """
     if not poly.is_convex:
@@ -265,17 +268,16 @@ def chebyshev_center(poly: Polygon) -> Circle:
     # and only this LP needs it
     from scipy.optimize import linprog
 
-    m = len(poly.vertices)
     result = linprog(
         c=[0.0, 0.0, -1.0],
-        A_ub=np.column_stack([-poly.normals, np.ones(m)]),
+        A_ub=np.column_stack([-poly.normals, np.ones(len(poly.normals))]),
         b_ub=np.asarray(poly.offsets),
         bounds=[(None, None)] * 3,
         method="highs",
     )
     if not result.success:
         raise SolverError(f"Chebyshev linear program failed: {result.message}")
-    return Circle(center=_readonly(result.x[:2]), radius=float(result.x[2]))
+    return Circle(center=_readonly(result.x[:2] + poly.origin), radius=float(result.x[2]))
 
 
 def centroid(poly: Polygon) -> np.ndarray:

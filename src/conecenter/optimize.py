@@ -92,7 +92,8 @@ def boundary_gradient(poly: Polygon, point, height) -> np.ndarray:
     """Analytic gradient of the boundary area with respect to the projection:
     the direct-form gradient of the solver's own local model."""
     x = _finite_point(point, "apex projection")
-    return _local_model(poly, x, _positive_height(height), False)[3]
+    with np.errstate(over="ignore"):  # the lateral sum it discards may be beyond the float range
+        return _local_model(poly, x, _positive_height(height), False)[3]
 
 
 def _newton(evaluate, propose, z, model):
@@ -216,7 +217,7 @@ def _joint_model(poly: Polygon, x, u):
     b = poly.area + value
     q, r = h / slant, d / slant
     scaled_normals = poly.diameter * poly.normals
-    terms = 0.5 * poly.lengths * q * q / b  # d(log B)/du = sum_i terms_i s_i
+    terms = poly._half_lengths * q * q / b  # d(log B)/du = sum_i terms_i s_i
     grad = np.append(poly.diameter / b * grad_x, float(terms @ slant))
     hess = np.empty((3, 3))  # of B, over B
     hess[:2, :2] = (scaled_normals.T * (terms / slant)) @ scaled_normals

@@ -78,8 +78,7 @@ def _tile_bounds(poly: Polygon, centers, h, rho):
     within ``rho`` of them, ``B(c) - |grad B(c)| rho`` as ``B`` is convex, less an
     allowance for rounding; and the allowance, ``16 eps (2 B(c) + P bound + rho
     (P + bound sum_i a_i / (2 s_i)))`` with ``bound`` the kernel's scale."""
-    bound = np.maximum(np.abs(centers).max(initial=poly._max_abs_offset), h)[:, None]
-    value, d, s, e = _kernel(poly, centers, h, bound[:, 0], True)
+    value, d, s, e, bound = _kernel(poly, centers, h, True)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         d /= s
         grad = (poly.normals.T * poly._half_lengths) @ d

@@ -274,3 +274,31 @@ def decimal_optimal_cone(vertices, digits=60):
                 return x, y, u
             u += step
     raise RuntimeError("decimal_optimal_cone did not converge in 100 steps")
+
+
+def fuzz_draw(rng):
+    """One draw of the seeded fuzz of the ``converged`` contract: ``(vertices, h / D)``.
+
+    The base comes from one of five families, equally likely: ``random_convex_polygon``,
+    ``random_star_polygon`` with 5 to 11 vertices, ``random_triangle``, the thin
+    quadrilateral (0, 0), (1, 0), (1 - a, 1 / ar), (b, 1 / ar) with a and b uniform in
+    [0, 0.5] and ar = 10**U(1, 5), turned by an angle uniform in [0, pi), or a regular 3-
+    to 12-gon of circumradius U(0.8, 1.2).  It is scaled by 10**U(-3, 3) and shifted by
+    10**U(0, 6) * (U(-1, 1), U(-1, 1)); the height is h / D = 10**U(-10, 4).
+    """
+    family = int(rng.integers(5))
+    if family == 0:
+        vertices = random_convex_polygon(rng)
+    elif family == 1:
+        vertices = random_star_polygon(rng, n=int(rng.integers(5, 12)))
+    elif family == 2:
+        vertices = random_triangle(rng)
+    elif family == 3:
+        a, b = rng.uniform(0.0, 0.5, size=2)
+        top = 10.0 ** -rng.uniform(1.0, 5.0)
+        quadrilateral = [(0.0, 0.0), (1.0, 0.0), (1.0 - a, top), (b, top)]
+        vertices = rotate_translate(quadrilateral, rng.uniform(0.0, np.pi), (0.0, 0.0))
+    else:
+        vertices = regular_polygon(int(rng.integers(3, 13)), (0.0, 0.0), rng.uniform(0.8, 1.2))
+    scale, shift = 10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(0.0, 6.0) * rng.uniform(-1.0, 1.0, size=2)
+    return vertices * scale + shift, 10.0 ** rng.uniform(-10.0, 4.0)

@@ -261,7 +261,7 @@ def test_integer_coordinate_too_large_for_a_float_exits_2(tmp_path, capsys):
 
 def test_coordinates_whose_area_overflows_exit_2(tmp_path, capsys):
     far = tmp_path / "far.json"
-    vertices = [[1e169, 1e169], [1e169 + 1e153, 1e169], [1e169, 1e169 + 1e153]]
+    vertices = [[8e153, 8e153], [1.7e154, 8e153], [8e153, 1.7e154]]  # shoelace products reach 2.9e308
     far.write_text(json.dumps({"vertices": vertices}))
     code, out, err = run(capsys, "optimal", str(far))
     assert code == 2

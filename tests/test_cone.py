@@ -15,6 +15,7 @@ from conecenter import (
     SolverError,
     boundary_area,
     boundary_areas,
+    boundary_gradient,
     build_polygon,
     center_at_height,
     centroid,
@@ -226,6 +227,17 @@ def test_boundary_area_near_the_top_of_the_float_range():
     assert boundary_areas(TRAPEZOID, [apex.projection], apex.height)[0] == pytest.approx(
         area, rel=BATCH_REL_TOL
     )
+
+
+def test_single_point_model_is_inf_beyond_the_float_range_without_a_warning():
+    # at h = 1e308 the lateral sum is beyond the float range; it is inf, as the
+    # batch kernel's is, and the callers that discard it give finite answers
+    # (any warning fails the test: pyproject filterwarnings)
+    p = np.array([0.9, 0.1])
+    assert boundary_area(TRAPEZOID, Apex(p, 1e308)) == math.inf
+    assert boundary_areas(TRAPEZOID, [p], 1e308)[0] == math.inf
+    assert np.all(np.abs(boundary_gradient(TRAPEZOID, p, 1e308)) < 1e-300)
+    assert 0.0 < equal_angle_residual(TRAPEZOID, p, 1e308) < 1e-300
 
 
 @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])

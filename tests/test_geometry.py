@@ -84,6 +84,36 @@ def test_polygon_is_frozen_with_read_only_arrays():
             setattr(poly, field, getattr(poly, field))
 
 
+def test_origin_is_zero_near_zero_and_exact_far_from_it():
+    assert build_polygon(TRAPEZOID).origin.tolist() == [0.0, 0.0]
+    poly = build_polygon(np.array(TRAPEZOID) + 1e12)
+    # the bounding-box center (1e12 + 1, 1e12) truncated to a multiple of 8, the
+    # power of two at or above the diameter 4
+    assert poly.origin.tolist() == [1e12, 1e12]
+    assert not poly.origin.flags.writeable
+    assert np.array_equal(poly.vertices - poly.origin, np.array(TRAPEZOID))
+    assert np.array_equal(poly.offsets, build_polygon(TRAPEZOID).offsets)
+
+
+def test_far_shifted_bases_keep_their_order_area_and_centers():
+    # about (0, 0) the shoelace products of this base at 1e12 lose 24 bits: it was
+    # stored clockwise with area 268,435,456, called nonconvex, its centroid 8.3e11 off
+    base = np.array([(0.0, 0.0), (3.0, 0.0), (2.0, 1.0), (0.0, 1.0)])
+    poly = build_polygon(base + 1e12)
+    assert np.array_equal(poly.vertices, base + 1e12)  # counterclockwise, as given
+    assert poly.area == 2.5 and poly.is_convex
+    ulp = np.spacing(1e12)
+    assert np.abs(centroid(poly) - 1e12 - [19.0 / 15.0, 7.0 / 15.0]).max() <= ulp
+    # the README trapezoid shifted by 1e8 or 1e12 was rejected as of zero area
+    for shift in (1e8, 1e12):
+        poly = build_polygon(np.array(TRAPEZOID) + shift)
+        assert poly.area == 6.0 and poly.is_convex
+        circle = chebyshev_center(poly)  # the deepest points: x = 1, |y| <= 1.5 - sqrt(5) / 2
+        assert circle.radius == pytest.approx(1.0, abs=1e-8)
+        x, y = circle.center - shift
+        assert abs(x - 1.0) <= np.spacing(shift) and abs(y) <= 1.5 - math.sqrt(5.0) / 2.0 + np.spacing(shift)
+
+
 def test_normals_point_inward():
     for verts in (RIGHT_TRIANGLE, TRAPEZOID, SQUARE):
         poly = build_polygon(verts)
@@ -182,9 +212,10 @@ def test_rejects_coordinates_whose_differences_overflow():
 
 
 def test_rejects_coordinates_whose_shoelace_area_overflows():
-    # the diameter (1.4e153) is finite, but the shoelace products x_i * y_j are about 1e338
+    # the diameter (1.3e154) is finite and the origin is 0, but the shoelace
+    # products about it, x_i * y_j, reach 2.9e308
     with pytest.raises(InputError, match="too large: the area overflows"):
-        build_polygon([(1e169, 1e169), (1e169 + 1e153, 1e169), (1e169, 1e169 + 1e153)])
+        build_polygon([(8e153, 8e153), (1.7e154, 8e153), (8e153, 1.7e154)])
 
 
 @pytest.mark.parametrize(

@@ -156,6 +156,28 @@ def test_converged_centers_lie_within_tol_of_a_60_digit_reference():
     assert max(errors) <= 1.0  # the worst seen is 0.025, on the U at h/D = 1e-3
 
 
+def test_fuzzed_converged_centers_lie_within_tol_of_a_60_digit_reference():
+    # helpers.fuzz_draw's five families, scaled by up to 1e3 either way and shifted
+    # by up to 1e6, at h/D from 1e-10 to 1e4.  Where one ulp of the center is below
+    # TOL * D / 20, so the contract can hold in floats, every converged center is
+    # within TOL * D of the 60-digit one.  Every base builds, and nothing warns.
+    rng = np.random.default_rng(1)
+    errors = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(300):
+            vertices, ratio = helpers.fuzz_draw(rng)
+            poly = build_polygon(vertices)
+            res = center_at_height(poly, ratio * poly.diameter)
+            tol = optimize_module.TOL * poly.diameter
+            if res.converged and np.spacing(np.abs(res.center).max()) < 0.05 * tol:
+                x, y = helpers.decimal_center(poly.vertices, res.height)
+                off = math.hypot(float(x - Decimal(res.center[0])), float(y - Decimal(res.center[1])))
+                errors.append(off / tol)
+    assert len(errors) >= 200  # 244 here
+    assert max(errors) <= 1.0  # the worst seen is 0.03
+
+
 def test_vertex_starts_are_never_marked_converged_off_center():
     # within about h of an edge line the Hessian weight a / (2h) makes the
     # Newton step about h long, shorter than tol * diameter at small h
@@ -479,6 +501,27 @@ def test_optimal_cone_stops_when_no_damped_step_is_accepted(monkeypatch):
     [certified] = best.inner_results
     assert isinstance(certified, CenterResult)
     assert certified.height == best.height == math.exp(log_heights[0])
+
+
+def test_optimal_cone_stops_where_the_start_loses_its_hessian(monkeypatch):
+    # a 1e5:1 rectangle turned by atan(4/3): at the start the least eigenvalue of both
+    # candidate Hessians is 0, so the joint loop takes no step and the certifying
+    # solve runs at the start height, 2 sqrt(2) * 2 A / P
+    models = []
+
+    def recording(poly, x, u):
+        models.append(joint_model(poly, x, u))
+        return models[-1]
+
+    joint_model = optimize_module._joint_model
+    monkeypatch.setattr(optimize_module, "_joint_model", recording)
+    rectangle = [(0.0, 0.0), (1.0, 0.0), (1.0, 1e-5), (0.0, 1e-5)]
+    poly = build_polygon(helpers.rotate_translate(rectangle, math.atan2(4.0, 3.0), (0.0, 0.0)))
+    best = optimal_cone(poly)
+    assert len(models) == 1 and models[0][2] is None
+    assert best.converged is False and best.iterations == 0
+    assert best.height == pytest.approx(OPTIMAL_HEIGHT_RATIO * 2.0 * poly.area / poly.perimeter, rel=1e-15)
+    assert best.height * 1e5 == pytest.approx(2.828, abs=5e-4)
 
 
 def test_optimal_cone_inverts_no_subnormal_eigenvalue():

@@ -464,9 +464,9 @@ def test_default_scan_work_is_pinned(monkeypatch):
         scanned.append(len(np.asarray(points).reshape(-1, 2)))
         return true_eval(poly, points, h)
 
-    def counting_kernel(poly, p, h, bound, keep=False):
+    def counting_kernel(poly, p, h, keep=False):
         centers.append(len(np.asarray(p).reshape(-1, 2)))
-        return true_kernel(poly, p, h, bound, keep)
+        return true_kernel(poly, p, h, keep)
 
     monkeypatch.setattr(oracle_module, "boundary_areas", counting_eval)
     monkeypatch.setattr(oracle_module, "_kernel", counting_kernel)
