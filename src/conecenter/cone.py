@@ -49,7 +49,7 @@ class Apex:
 def boundary_area(poly: Polygon, apex: Apex) -> float:
     """Base area plus the lateral faces, ``sum(a_i * sqrt(d_i**2 + h**2)) / 2``, or ``inf``."""
     with np.errstate(over="ignore"):
-        return poly.area + _local_model(poly, apex.projection, apex.height, False)[0]
+        return poly.area + float(_slants(poly, apex.projection, apex.height)[1] @ poly._half_lengths)
 
 
 def boundary_areas(poly: Polygon, points, height) -> np.ndarray:
@@ -63,8 +63,8 @@ def boundary_areas(poly: Polygon, points, height) -> np.ndarray:
     origin - min p)`` over all coordinates, which bounds both as ``|d_i| <= sqrt(2) * r +
     |c_i|``; then ``sqrt(d*d + h*h)`` is formed in place: no square overflows, and one that
     underflows is below 2**-1000 of the bound's square.  That costs about a tenth of ``np.hypot``,
-    which the single-point model ``_local_model`` keeps for :func:`boundary_area`,
-    :func:`equal_angle_residual` and the solvers (their rounding allowance is
+    which :func:`_slants` keeps for :func:`boundary_area`,
+    :func:`equal_angle_residual` and the solvers' model (their rounding allowance is
     derived for it, and at m <= 12 edges their cost is call overhead).  So a value
     may differ from :func:`boundary_area` by a few ulps: the slant rounds four
     times instead of once, and the batch distances and the sum over edges may
@@ -99,30 +99,44 @@ def _kernel(poly: Polygon, points, h, keep=False):
         return poly.area + np.ldexp(poly._half_lengths @ s, e[:, None]), d, s, e, bound[:, None]
 
 
-def _local_model(poly: Polygon, x, h, shifted=None):
-    """The single-point model at projection ``x`` and checked height ``h``: lateral area,
-    distances ``d``, slants ``s = hypot(d, h)``, the area's gradient ``sum_i w_i n_i``,
-    the weights ``w`` and the form, ``shifted``.  The direct form is ``sum_i a_i s_i / 2``,
-    ``w_i = a_i d_i / s_i / 2``.  The shifted form puts ``r_i = s_i - d_i = h * (h / (s_i +
-    |d_i|)) + (|d_i| - d_i)`` for ``s_i`` in the value and ``-r_i`` for ``d_i`` in ``w``: as
-    ``sum_i a_i n_i = 0`` and ``sum_i a_i d_i = 2 * area``, that is the direct form less the
-    area, with no cancellation where ``h << |d_i|``.  Sums run over ``a_i / 2``, finite
-    where ``sum_i a_i s_i`` is not; the public callers, not the solvers, read one beyond the
-    float range as ``inf`` (``np.errstate``).  With ``shifted`` None it takes the form whose
-    weights have the smaller ``sum_i |w_i|``: rounding error in the gradient scales with it."""
-    half = poly._half_lengths
+def _slants(poly: Polygon, x, h):
+    """Distances ``d`` and slants ``hypot(d, h)`` at projection ``x`` and checked height ``h``:
+    shape ``(m,)`` at a point ``(2,)``, ``(k, 1, m)`` at a stack of points ``(k, 1, 2)`` and
+    heights ``(k, 1, 1)``.  A stacked row rounds as its point alone: numpy's matmul makes one
+    BLAS call a row, the call it makes for one point."""
     d = signed_distances(poly, x)
-    slant = np.hypot(d, h)
+    return d, np.hypot(d, h)
+
+
+def _local_model(poly: Polygon, x, h, shifted=None):
+    """The single-point model at projection ``x`` and checked height ``h``, or at a stack of
+    them, shaped as in :func:`_slants`: lateral area, distances ``d``, slants ``s``, the area's
+    gradient ``sum_i w_i n_i``, the weights ``w`` and the form, ``shifted``.  The direct form is
+    ``sum_i a_i s_i / 2``, ``w_i = a_i d_i / s_i / 2``.  The shifted form puts ``r_i = s_i - d_i
+    = h * (h / (s_i + |d_i|)) + (|d_i| - d_i)`` for ``s_i`` in the value and ``-r_i`` for ``d_i``
+    in ``w``: as ``sum_i a_i n_i = 0`` and ``sum_i a_i d_i = 2 * area``, that is the direct form
+    less the area, with no cancellation where ``h << |d_i|``.  Sums run over ``a_i / 2``,
+    finite where ``sum_i a_i s_i`` is not; the public callers, not the solvers, read one beyond
+    the float range as ``inf`` (``np.errstate``).  With ``shifted`` None each point takes the
+    form whose weights have the smaller ``sum_i |w_i|``, as rounding error in the gradient
+    scales with it; the forms come back as a bool where every point takes the same, else as a
+    ``(k, 1, 1)`` bool array, and either sets them when passed in.  Each sum is a matmul, so a
+    stacked row's model is bitwise that of its point alone."""
+    half = poly._half_lengths
+    d, slant = _slants(poly, x, h)
     if shifted is None:
         # the shifted gradient terms sum_i a_i |s_i - d_i| / s_i are the smaller
         # sum exactly when sum_i a_i max(d_i, 0) / s_i exceeds perimeter / 2
-        shifted = float(poly.lengths @ (np.maximum(d, 0.0) / slant)) > 0.5 * poly.perimeter
-    if shifted:
-        r = h * (h / (slant + np.abs(d))) + (np.abs(d) - d)  # slant - d
-        value, w = float(r @ half), -half * r / slant
-    else:
-        value, w = float(slant @ half), half * d / slant
-    return value, d, slant, poly.normals.T @ w, w, shifted
+        picked = np.maximum(d, 0.0) / slant @ poly.lengths > 0.5 * poly.perimeter
+        flags = picked.ravel().tolist()
+        shifted = flags[0] if min(flags) == max(flags) else picked[..., None]
+    terms, lean = slant, d  # the direct form
+    if shifted is not False:
+        size = np.abs(d)
+        r = h * (h / (slant + size)) + (size - d)  # slant - d
+        terms, lean = (r, -r) if shifted is True else (np.where(shifted, r, slant), np.where(shifted, -r, d))
+    w = half * lean / slant
+    return terms @ half, d, slant, w @ poly.normals, w, shifted
 
 
 def cone_volume(poly: Polygon, height) -> float:
@@ -175,8 +189,6 @@ def equal_angle_residual(poly: Polygon, point, height) -> float:
     and the base plane.  Zero exactly when all faces meet the base at the
     same angle, as they do over the incenter of a triangle.
     """
-    h = _positive_height(height)
-    with np.errstate(over="ignore"):  # the lateral sum it discards may be beyond the float range
-        d, slant = _local_model(poly, _finite_point(point, "apex projection"), h, False)[1:3]
+    d, slant = _slants(poly, _finite_point(point, "apex projection"), _positive_height(height))
     s = d / slant
     return float(s.max() - s.min())

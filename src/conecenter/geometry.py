@@ -83,6 +83,15 @@ class Polygon:
         return _readonly(0.5 * self.lengths)
 
     @cached_property
+    def _abs_normals(self) -> np.ndarray:
+        return _readonly(np.abs(self.normals))
+
+    @cached_property
+    def _normal_products(self) -> np.ndarray:
+        # n_i n_i^T flattened, (m, 4): the fixed-height solver's Hessian is sum_i w_i n_i n_i^T
+        return _readonly((self.normals[:, :, None] * self.normals[:, None, :]).reshape(-1, 4))
+
+    @cached_property
     def _max_abs_offset(self) -> float:
         return float(np.abs(self.offsets).max())
 

@@ -12,8 +12,10 @@ which has the same minimizer and no cancellation where ``h << |d_i|``.
 ``B(x, h)``, a sum of norms of affine maps, is jointly convex, and ``F <= t``
 exactly when ``B <= t**(1/3) * (area * h / 3)**(2/3)``, concave in h: F is
 quasi-convex and a local minimum is global.  It minimizes ``phi(x, u) = 3 log
-B(x, e**u) - 2u``, ``log F`` up to a constant.  ``height_sweep`` starts each
-height at the last converged center.
+B(x, e**u) - 2u``, ``log F`` up to a constant.  ``height_sweep`` solves all of
+its heights at once, each from the centroid: ``_newton`` moves every height
+forward in lockstep and evaluates their models as one stack, so an entry does
+not depend on the other heights or their order.
 """
 
 from __future__ import annotations
@@ -96,39 +98,70 @@ def boundary_gradient(poly: Polygon, point, height) -> np.ndarray:
         return _local_model(poly, x, _positive_height(height), False)[3]
 
 
-def _newton(evaluate, propose, z, model):
-    """The damped Newton loop of both solvers, from the point ``z``, a tuple.
+def _newton(evaluate, propose, zs, models):
+    """The damped Newton loop of both solvers, run on ``len(zs)`` independent problems in
+    lockstep from the points ``zs``, tuples, whose models are ``models``.
 
-    ``evaluate(z)`` returns the model at ``z``, a tuple led by the value; ``model``
-    is the start's.  ``propose(z, model)`` returns None where the Hessian is lost,
-    else the line ``t -> z + t * step`` of the Newton step, the slope along it,
-    whether the step converges (it is then taken), whether it is no longer than
-    its rounding (a stall), and a test that a trial model's slope along the step
-    is within its rounding bound.  From ``t = 1``, cut by ``BACKTRACK_FACTOR``, a
-    trial is accepted on the Armijo condition (slope ``ARMIJO_SLOPE``) or on that
-    test: the value has not risen even where its differences fall below rounding.
-    The loop ends unconverged at a stall, after ``_MAX_STEPS`` damped steps, when
-    ``t`` gets below 1e-14, or when an accepted step leaves the iterate unchanged.
-    Returns the last iterate, its model (None after a converging step), the
-    damped step count and whether it converged."""
-    steps = 0
-    while (proposal := propose(z, model)) is not None:
-        line, slope, done, stalled, flat = proposal
-        if done:
-            return line(1.0), None, steps, True
-        if steps >= _MAX_STEPS or stalled:
+    ``evaluate(problems, points)`` returns the models of the listed problems at their points,
+    each a tuple led by the value.  ``propose(z, model)`` returns None where the Hessian is
+    lost, else the line ``t -> z + t * step`` of the Newton step, the slope along it, whether
+    the step converges (it is then taken), whether it is no longer than its rounding (a
+    stall), and a test that a trial model's slope along the step is within its rounding
+    bound.  From ``t = 1``, cut by ``BACKTRACK_FACTOR``, a trial is accepted on the Armijo
+    condition (slope ``ARMIJO_SLOPE``) or on that test: the value has not risen even where
+    its differences fall below rounding.  A problem ends unconverged at a stall, after
+    ``_MAX_STEPS`` damped steps, when ``t`` gets below 1e-14, or when an accepted step leaves
+    its iterate unchanged.  Each round proposes a step for every problem that has no line
+    search open, then evaluates every open trial in one ``evaluate`` call; a problem's rules
+    read its own models alone, so it takes the same path whatever runs beside it.  Returns
+    lists: the last iterates, their models (None after a converging step), the damped step
+    counts and whether each converged."""
+    zs, models = list(zs), list(models)
+    steps, converged = [0] * len(zs), [False] * len(zs)
+    searches = [None] * len(zs)  # each problem's open line search: (line, slope, flat test, t)
+    active = range(len(zs))
+    while active:
+        trials, points = [], []
+        for i in active:
+            if (search := searches[i]) is None:
+                if (proposal := propose(zs[i], models[i])) is None:
+                    continue
+                line, slope, done, stalled, flat = proposal
+                if done:
+                    zs[i], models[i], converged[i] = line(1.0), None, True
+                    continue
+                if steps[i] >= _MAX_STEPS or stalled:
+                    continue
+                search = searches[i] = (line, slope, flat, 1.0)
+            trials.append(i)
+            points.append(search[0](search[3]))
+        if not trials:
             break
-        t = 1.0
-        while t >= 1e-14:
-            trial = evaluate(trial_z := line(t))
-            if trial[0] <= model[0] + ARMIJO_SLOPE * t * slope or flat(trial):
-                break
-            t *= BACKTRACK_FACTOR
-        if t < 1e-14 or trial_z == z:
-            break
-        z, model = trial_z, trial
-        steps += 1
-    return z, model, steps, False
+        active = []
+        for i, point, trial in zip(trials, points, evaluate(trials, points)):
+            line, slope, flat, t = searches[i]
+            searches[i] = None
+            if trial[0] <= models[i][0] + ARMIJO_SLOPE * t * slope or flat(trial):
+                if point == zs[i]:
+                    continue
+                zs[i], models[i] = point, trial
+                steps[i] += 1
+            elif (t := t * BACKTRACK_FACTOR) >= 1e-14:
+                searches[i] = (line, slope, flat, t)
+            else:
+                continue
+            active.append(i)
+    return zs, models, steps, converged
+
+
+def _checked_height(poly: Polygon, height) -> float:
+    """``height`` as a float; InputError unless it is finite and > 0, SolverError
+    where ``perimeter * h`` overflows."""
+    h = _positive_height(height)
+    # sum_i a_i s_i >= perimeter * h: once that overflows, so do the model's sums
+    if not math.isfinite(poly.perimeter * h):
+        raise SolverError(f"boundary area at h={h:g} is too large: perimeter * h overflows")
+    return h
 
 
 def center_at_height(poly: Polygon, height, x0=None) -> CenterResult:
@@ -152,55 +185,79 @@ def center_at_height(poly: Polygon, height, x0=None) -> CenterResult:
     diameter`` beyond about 1e-77 or 1e154.  Raises ``SolverError``, before any
     step, where ``perimeter * h`` overflows.
     """
-    h = _positive_height(height)
-    # sum_i a_i s_i >= perimeter * h: once that overflows, so do the model's sums
-    if not math.isfinite(poly.perimeter * h):
-        raise SolverError(f"boundary area at h={h:g} is too large: perimeter * h overflows")
-    x = _finite_point(centroid(poly) if x0 is None else x0, "starting point")
-    # per-solve constants of the Newton step: a_i / 2, |n_i| and n_i n_i^T flattened
-    half = poly._half_lengths
-    abs_normals_t = np.abs(poly.normals.T)
-    products = (poly.normals[:, :, None] * poly.normals[:, None, :]).reshape(-1, 4)
-    start = _local_model(poly, x, h)
+    h = _checked_height(poly, height)
+    x = centroid(poly) if x0 is None else _finite_point(x0, "starting point")
+    return _centers(poly, [h], [tuple(x.tolist())])[0]
 
-    def evaluate(z):
-        return _local_model(poly, z, h, start[5])
+
+def _centers(poly: Polygon, heights, starts) -> list[CenterResult]:
+    """``center_at_height`` at each of the checked ``heights`` from its finite start, a tuple,
+    all solved together by ``_newton``: each round evaluates its trials as one ``(k, 1, 2)``
+    stack, or at one height as one point, whose 1-D arrays skip the stack's broadcasting."""
+    single = len(heights) == 1
+    h = heights[0] if single else np.array(heights)[:, None, None]
+    half, abs_normals, products = poly._half_lengths, poly._abs_normals, poly._normal_products
+
+    forms = None  # each row's form of the model: picked at its start, then kept
+
+    def evaluate(problems, points):
+        """One tuple a row: value, gradient, Hessian ``sum_i w_i n_i n_i^T`` with ``w_i = a_i
+        h**2 / (2 s_i**3)``, the sums that bound the gradient's rounding, and the slants."""
+        nonlocal forms
+        hk, form = h, forms
+        if len(problems) < len(heights):
+            hk, form = h[problems], forms if isinstance(forms, bool) else forms[problems]
+        x = points[0] if single else np.array(points)[:, None]
+        value, _, slant, grad, grad_w, form = _local_model(poly, x, hk, form)
+        if forms is None:
+            forms = form
+        hess = (half * (hk / slant) ** 2 / slant) @ products
+        # how far rounding in the gradient, up to eps / 2 per term and component, moves it
+        error = np.abs(grad_w) @ abs_normals
+        if single:
+            return [(float(value), grad.tolist(), hess.tolist(), error.tolist(), slant)]
+        rows = value[:, 0].tolist(), grad[:, 0].tolist(), hess[:, 0].tolist(), error[:, 0].tolist()
+        return zip(*rows, slant[:, 0])
 
     def propose(z, model):
-        _, _, slant, grad, grad_w, _ = model
-        # Newton step for the Hessian sum_i w_i n_i n_i^T, w_i = a_i h**2 / (2 s_i**3)
-        hxx, hxy, _, hyy = ((half * (h / slant) ** 2 / slant) @ products).tolist()
+        _, (gx, gy), (hxx, hxy, _, hyy), (ex, ey), slant = model
         # det under- or overflows for h/diameter beyond ~1e-77 or ~1e154, and
         # is rounding noise when the heaviest edges are parallel and off the axes
         det = hxx * hyy - hxy * hxy
         if not 4.0 * _EPS * hxx * hyy < det < math.inf:
             return None
-        (gx, gy), (px, py) = grad.tolist(), z
+        px, py = z
         sx, sy = (hxy * gy - hyy * gx) / det, (hxy * gx - hxx * gy) / det
-        # how far rounding in the gradient, up to eps / 2 per term and component, moves it
-        ex, ey = (abs_normals_t @ np.abs(grad_w)).tolist()
         noise = 0.5 * _EPS * math.hypot(hyy * ex + abs(hxy) * ey, abs(hxy) * ex + hxx * ey) / det
         length = math.hypot(sx, sy)
 
         def flat(trial):
-            tx, ty = trial[3].tolist()
+            tx, ty = trial[1]
             return tx * sx + ty * sy <= 0.0
         # the step bounds the distance to the center only where the model holds:
         # within min_i s_i / 8 each Hessian weight changes by at most (8/7)**3
         done = length + noise <= TOL * poly.diameter and 8.0 * length <= float(slant.min())
         return lambda t: (px + t * sx, py + t * sy), gx * sx + gy * sy, done, length <= noise, flat
 
-    z, model, iterations, converged = _newton(evaluate, propose, tuple(x.tolist()), start)
-    _, d, slant, grad, _, _ = evaluate(z) if converged else model
-    return CenterResult(
-        center=np.array(z),
-        height=h,
-        boundary_area=float(poly.area + slant @ half),
-        gradient_norm=math.hypot(*grad.tolist()),
-        distances=d,
-        iterations=iterations,
-        converged=converged,
-    )
+    zs, _, iterations, converged = _newton(evaluate, propose, starts, evaluate(range(len(heights)), starts))
+    _, d, slant, grad, _, _ = _local_model(poly, zs[0] if single else np.array(zs)[:, None], h, forms)
+    boundary, grads = poly.area + slant @ half, grad.tolist()
+    if single:
+        boundary, grads, d = [float(boundary)], [grads], [d]
+    else:
+        boundary, grads, d = boundary[:, 0].tolist(), [g for [g] in grads], d[:, 0]
+    return [
+        CenterResult(
+            center=np.array(z),
+            height=height,
+            boundary_area=area,
+            gradient_norm=math.hypot(*g),
+            distances=distances,
+            iterations=n,
+            converged=c,
+        )
+        for z, height, area, g, distances, n, c in zip(zs, heights, boundary, grads, d, iterations, converged)
+    ]
 
 
 def _joint_model(poly: Polygon, x, u):
@@ -214,7 +271,7 @@ def _joint_model(poly: Polygon, x, u):
     if not math.isfinite(poly.perimeter * h):
         raise SolverError(f"boundary area at u={u:g} is too large: perimeter * e**u overflows")
     value, d, slant, grad_x, w, _ = _local_model(poly, x, h, False)
-    b = poly.area + value
+    b = poly.area + float(value)
     q, r = h / slant, d / slant
     scaled_normals = poly.diameter * poly.normals
     terms = poly._half_lengths * q * q / b  # d(log B)/du = sum_i terms_i s_i
@@ -250,8 +307,9 @@ def optimal_cone(poly: Polygon) -> OptimalCone:
     the float range."""
     z = (*centroid(poly).tolist(), math.log(OPTIMAL_HEIGHT_RATIO * 2.0 * poly.area / poly.perimeter))
 
-    def evaluate(z):
-        return _joint_model(poly, z[:2], z[2])
+    def evaluate(problems, points):
+        [(x, y, u)] = points  # the one problem
+        return [_joint_model(poly, (x, y), u)]
 
     def propose(z, model):
         _, grad, inverse, error = model
@@ -268,7 +326,7 @@ def optimal_cone(poly: Polygon) -> OptimalCone:
             return x + t * (diameter * sx), y + t * (diameter * sy), u + t * su
         return line, float(grad @ step), done, stalled, lambda m: m[1] @ step <= m[3] @ abs(step)
 
-    z, _, iterations, converged = _newton(evaluate, propose, z, evaluate(z))
+    [z], _, [iterations], [converged] = _newton(evaluate, propose, [z], evaluate([0], [z]))
     certified = center_at_height(poly, math.exp(z[2]), x0=z[:2])
     return OptimalCone(
         center=certified.center,
@@ -285,23 +343,29 @@ def optimal_cone(poly: Polygon) -> OptimalCone:
 
 def height_sweep(poly: Polygon, heights: Sequence) -> list[SweepEntry]:
     """Fixed-height solves over ``heights``; failures land in the entry's
-    ``error`` field instead of aborting the sweep.  Each solve starts at the
-    center of the last entry, in the given order, that converged (at the
-    centroid before one has), so a failed or unconverged entry seeds nothing;
-    the objective is strictly convex, so the start moves the path, not the
-    answer."""
-    entries: list[SweepEntry] = []
-    start = None
+    ``error`` field instead of aborting the sweep.  Every height that passes
+    ``center_at_height``'s checks is solved from the centroid, all of them
+    together: ``_newton`` moves them forward in lockstep and evaluates their
+    trials as one batch.  Entry ``i`` is ``center_at_height(poly, heights[i])``,
+    bit for bit, whatever the other heights and their order."""
+    entries: list = []  # a checked height to solve, or the entry of its error
+
+    def failed(h, exc):
+        return SweepEntry(h, None, None, f"{type(exc).__name__}: {exc}")
     for height in heights:
         h = math.nan  # the entry's height where it is not a number; inf for an int beyond the float range
         try:
-            h = _number(height)
-            result = center_at_height(poly, h, x0=start)
-            ratio = _ratio(poly, result.boundary_area, h)
+            entries.append(_checked_height(poly, h := _number(height)))
         except (InputError, SolverError) as exc:
-            entries.append(SweepEntry(h, None, None, f"{type(exc).__name__}: {exc}"))
-            continue
-        entries.append(SweepEntry(height=h, result=result, ratio=ratio, error=None))
-        if result.converged:
-            start = result.center
+            entries.append(failed(h, exc))
+    solvable = [h for h in entries if isinstance(h, float)]
+    start = tuple(centroid(poly).tolist())
+    results = iter(_centers(poly, solvable, [start] * len(solvable)) if solvable else ())
+    for i, h in enumerate(entries):
+        if isinstance(h, float):
+            result = next(results)
+            try:
+                entries[i] = SweepEntry(h, result, _ratio(poly, result.boundary_area, h), None)
+            except SolverError as exc:
+                entries[i] = failed(h, exc)
     return entries

@@ -190,14 +190,14 @@ def grid_min_ratio(poly: Polygon, spec_xy: GridSpec | None = None, h_range=None,
 
 
 def finite_diff_gradient(objective, point, step):
-    """Central-difference gradient of a scalar objective of a 2-D point."""
+    """Central-difference gradient of a scalar objective of a 2-D point.  Each difference
+    is divided by how far apart its two points are as rounded, ``(p + s) - (p - s)``, which
+    is ``2 * s`` only up to an ulp of ``p``; a component is nan where the step rounds away."""
     s = _positive_height(step, "step")
     p = _finite_point(point, "point")
-    ex = np.array([s, 0.0])
-    ey = np.array([0.0, s])
-    return np.array(
-        [
-            (objective(p + ex) - objective(p - ex)) / (2.0 * s),
-            (objective(p + ey) - objective(p - ey)) / (2.0 * s),
-        ]
-    )
+    grad = np.empty(2)
+    for i, e in enumerate(([s, 0.0], [0.0, s])):
+        ahead, behind = p + e, p - e
+        with np.errstate(invalid="ignore"):  # 0 / 0 where the step rounds away
+            grad[i] = (objective(ahead) - objective(behind)) / (ahead[i] - behind[i])
+    return grad

@@ -132,6 +132,17 @@ def test_sweep_csv_format(capsys):
         assert float(row["ratio"]) == pytest.approx(ratio, rel=1e-9)
 
 
+def test_sweep_rows_print_the_center_command_centers(capsys):
+    heights = ["0.05", "1", "2.5", "40"]
+    for path in (TRAPEZOID, TRIANGLE, str(FIXTURES / "equilateral_triangle.json"), SQUARE):
+        _, out, _ = run(capsys, "sweep", path, "--heights", ",".join(heights[::-1]))
+        rows = list(csv.DictReader(io.StringIO(out)))
+        for row, h in zip(rows, heights[::-1], strict=True):
+            _, text, _ = run(capsys, "center", path, "--height", h)
+            x, y = json.loads(text)["center"]
+            assert (row["center_x"], row["center_y"]) == (f"{x:.12g}", f"{y:.12g}"), (path, h)
+
+
 def test_sweep_values_use_twelve_significant_digits(capsys):
     _, out, _ = run(capsys, "sweep", TRAPEZOID, "--heights", "1")
     row = out.split("\r\n")[1].split(",")
@@ -191,6 +202,17 @@ def test_verify_command_passes_on_bundled_fixtures(capsys):
         assert code == 0
         assert "FAIL" not in out
         assert "all checks passed" in out
+
+
+def test_verify_passes_on_a_trapezoid_shifted_by_a_million(tmp_path, capsys):
+    # a step of 1e-6 D rounds to a multiple of an ulp of 1e6, 1.2e-10: the differences
+    # are divided by the rounded step, so the gradient check sees no rounding of the point
+    vertices = json.loads(Path(TRAPEZOID).read_text())["vertices"]
+    shifted = tmp_path / "trapezoid_1e6.json"
+    shifted.write_text(json.dumps({"vertices": [[x + 1e6, y + 1e6] for x, y in vertices]}))
+    code, out, err = run(capsys, "verify", str(shifted))
+    assert (code, err) == (0, "")
+    assert out.endswith("all checks passed\n") and "FAIL" not in out
 
 
 def test_verify_exits_1_naming_the_failed_check(monkeypatch, capsys):

@@ -635,10 +635,10 @@ def test_height_sweep_records_per_height_failures():
     assert entries[1].error == "InputError: height must be finite and > 0, got -2.0"
     assert entries[1].result is None
     assert entries[2].error is None
-    # the failed entry is skipped: h = 3 starts at the h = 1 center
-    seeded = center_at_height(TRAPEZOID, 3.0, x0=entries[0].result.center)
-    assert np.array_equal(entries[2].result.center, seeded.center)
-    assert entries[2].result.iterations == seeded.iterations
+    # the failed entry changes nothing: h = 3 is its own cold solve, bit for bit
+    alone = center_at_height(TRAPEZOID, 3.0)
+    assert np.array_equal(entries[2].result.center, alone.center)
+    assert entries[2].result.iterations == alone.iterations
     assert height_sweep(TRAPEZOID, []) == []
 
 
@@ -684,65 +684,66 @@ def test_joint_model_names_a_log_height_where_perimeter_times_height_overflows(u
         optimize_module._joint_model(TRAPEZOID, centroid(TRAPEZOID), u)
 
 
-def _replay_sweep(poly, heights):
-    """Cold solves started where ``height_sweep`` should start them: at the
-    center of the last converged solve, or the centroid before one."""
-    start, replay = None, []
-    for h in heights:
+def _assert_entries_are_their_own_solves(poly, heights, entries):
+    """Every entry is bitwise ``center_at_height(poly, h)``, or the error it raises."""
+    assert [e.height for e in entries] == [float(h) for h in heights]
+    for entry in entries:
         try:
-            res = center_at_height(poly, h, x0=start)
-        except InputError:
-            replay.append(None)
+            expected = center_at_height(poly, entry.height)
+        except InputError as exc:
+            assert entry.result is None and entry.error == f"InputError: {exc}"
             continue
-        replay.append(res)
-        if res.converged:
-            start = res.center
-    return replay
+        res = entry.result
+        assert np.array_equal(res.center, expected.center)
+        assert np.array_equal(res.distances, expected.distances)
+        assert res.boundary_area == expected.boundary_area
+        assert res.gradient_norm == expected.gradient_norm
+        assert (res.iterations, res.converged) == (expected.iterations, expected.converged)
+        assert entry.ratio == isoperimetric_ratio(poly, Apex(res.center, entry.height))
 
 
-def test_height_sweep_entries_equal_their_warm_started_solves_bitwise():
+def _same_entries(first, second):
+    return all(
+        a.height == b.height and a.error == b.error and a.ratio == b.ratio
+        and (a.result is None) == (b.result is None)
+        and (a.result is None or (
+            np.array_equal(a.result.center, b.result.center)
+            and np.array_equal(a.result.distances, b.result.distances)
+            and (a.result.boundary_area, a.result.gradient_norm, a.result.iterations, a.result.converged)
+            == (b.result.boundary_area, b.result.gradient_norm, b.result.iterations, b.result.converged)))
+        for a, b in zip(first, second, strict=True)
+    )
+
+
+def test_height_sweep_entries_equal_their_own_solves_bitwise():
     star = build_polygon(helpers.random_star_polygon(np.random.default_rng(101)))
     cases = [
         (TRAPEZOID, [4.0, 1.0, -2.0, 0.25, 3.0, 7.0]),
-        # h/D = 1e-6 ends unconverged after a few steps on the U; it must not seed h = 3
+        # h/D = 1e-12 and 1e-6 end unconverged on the U, and h = 3 beside them converges
         (U_SHAPE, [1e-12 * U_SHAPE.diameter, 1.0, -2.0, 1e-6 * U_SHAPE.diameter, 3.0]),
         (star, list(np.geomspace(0.05, 20.0, 9))),
     ]
     for poly, heights in cases:
-        entries = height_sweep(poly, heights)
-        for entry, expected in zip(entries, _replay_sweep(poly, heights), strict=True):
-            if expected is None:
-                assert entry.result is None and entry.error is not None
-                continue
-            res = entry.result
-            assert np.array_equal(res.center, expected.center)
-            assert np.array_equal(res.distances, expected.distances)
-            assert res.boundary_area == expected.boundary_area
-            assert res.gradient_norm == expected.gradient_norm
-            assert (res.iterations, res.converged) == (expected.iterations, expected.converged)
-            assert entry.ratio == isoperimetric_ratio(poly, Apex(res.center, entry.height))
+        _assert_entries_are_their_own_solves(poly, heights, height_sweep(poly, heights))
 
 
-def test_height_sweep_seeds_only_from_converged_entries(monkeypatch):
-    starts = []
-    solve = optimize_module.center_at_height
-
-    def recording(poly, height, x0=None):
-        starts.append(None if x0 is None else np.array(x0))
-        return solve(poly, height, x0=x0)
-
-    monkeypatch.setattr(optimize_module, "center_at_height", recording)
+def test_height_sweep_entries_do_not_depend_on_order_or_neighbours():
     d = U_SHAPE.diameter
-    entries = height_sweep(U_SHAPE, [1e-12 * d, 1.0, -2.0, 1e-6 * d, 3.0])
-    flat, first, _, stalled, _ = (e.result for e in entries)
-    assert not flat.converged and first.converged and not stalled.converged
+    heights = [1e-12 * d, 1.0, 1e-6 * d, 3.0, 0.05 * d]
+    entries = height_sweep(U_SHAPE, heights)
+    flat, first, stalled, last, _ = (e.result for e in entries)
+    assert not flat.converged and first.converged and not stalled.converged and last.converged
     assert not np.array_equal(stalled.center, first.center)
-    assert starts[0] is None and starts[1] is None  # the unconverged h/D = 1e-12 seeds nothing
-    for start in starts[2:]:
-        assert np.array_equal(start, first.center)
+    assert _same_entries(height_sweep(U_SHAPE, heights[::-1]), entries[::-1])
+    order = np.random.default_rng(5).permutation(len(heights))
+    assert _same_entries(height_sweep(U_SHAPE, [heights[i] for i in order]), [entries[i] for i in order])
+    # failing heights between them fail their own entries and move no other bit
+    padded = height_sweep(U_SHAPE, [-2.0, *heights[:2], "abc", 1e308, *heights[2:], math.inf])
+    assert [e.result is None for e in padded] == [True, False, False, True, True, False, False, False, True]
+    assert _same_entries([padded[i] for i in (1, 2, 5, 6, 7)], entries)
 
 
-def test_warm_sweep_matches_cold_solves_on_random_bases():
+def test_sweep_entries_equal_cold_solves_on_random_bases():
     rng = np.random.default_rng(97)
     bases = [helpers.random_triangle(rng) for _ in range(5)]
     bases += [helpers.random_convex_polygon(rng) for _ in range(5)]
@@ -751,10 +752,28 @@ def test_warm_sweep_matches_cold_solves_on_random_bases():
         poly = build_polygon(vertices)
         heights = list(np.geomspace(1e-3, 1e3, 13) * (2.0 * poly.area / poly.perimeter))
         for order in (heights, heights[::-1]):
-            for entry in height_sweep(poly, order):
-                cold = center_at_height(poly, entry.height)
-                assert entry.result.converged == cold.converged
-                assert np.linalg.norm(entry.result.center - cold.center) <= 1e-12 * poly.diameter
+            _assert_entries_are_their_own_solves(poly, order, height_sweep(poly, order))
+
+
+def test_converged_sweep_entries_lie_within_tol_of_a_60_digit_reference():
+    # helpers.fuzz_draw's bases, each swept at its drawn h/D and five more from 1e-6
+    # to 1e2; where one ulp of the center is below TOL * D / 20, every converged entry
+    # is within TOL * D of the 60-digit center
+    rng = np.random.default_rng(2)
+    errors = []
+    for _ in range(40):
+        vertices, ratio = helpers.fuzz_draw(rng)
+        poly = build_polygon(vertices)
+        tol = optimize_module.TOL * poly.diameter
+        ratios = [ratio, 1e-6, 1e-4, 1e-2, 1.0, 1e2]
+        for entry in height_sweep(poly, [r * poly.diameter for r in ratios]):
+            res = entry.result
+            if res.converged and np.spacing(np.abs(res.center).max()) < 0.05 * tol:
+                x, y = helpers.decimal_center(poly.vertices, res.height)
+                off = math.hypot(float(x - Decimal(res.center[0])), float(y - Decimal(res.center[1])))
+                errors.append(off / tol)
+    assert len(errors) >= 150  # 186 here
+    assert max(errors) <= 1.0  # the worst seen is 0.03
 
 
 def test_center_works_on_nonconvex_base():
