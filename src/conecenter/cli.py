@@ -11,8 +11,6 @@ errors included.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
@@ -160,25 +158,22 @@ def _cmd_sweep(poly, args):
         if not entry.result.converged:
             unconverged.append(f"{entry.height:g}")
         center = entry.result.center
-        rows.append(
-            (
-                entry.height,
-                center[0],
-                center[1],
-                entry.result.boundary_area,
-                cone.cone_volume(poly, entry.height),
-                entry.ratio,
-                cone.equal_angle_residual(poly, center, entry.height),
-            )
+        row = (
+            entry.height,
+            center[0],
+            center[1],
+            entry.result.boundary_area,
+            cone.cone_volume(poly, entry.height),
+            entry.ratio,
+            cone.equal_angle_residual(poly, center, entry.height),
         )
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\r\n")
-    writer.writerow(SWEEP_COLUMNS)
-    writer.writerows([f"{value:.{SIGNIFICANT_DIGITS}g}" for value in row] for row in rows)
+        rows.append(",".join(f"{value:.{SIGNIFICANT_DIGITS}g}" for value in row))
     if unconverged:
         # the rows carry no convergence column, so the status and stderr say it
         print(f"error: sweep did not converge at h={', '.join(unconverged)}", file=sys.stderr)
-    return buffer.getvalue(), 1 if unconverged else 0
+    # RFC 4180 with CRLF rows; no field needs quoting, as the column names and the
+    # numbers (digits, "e", "-", "+", ".", "inf", "nan") hold no comma, quote or line break
+    return "".join(f"{row}\r\n" for row in [",".join(SWEEP_COLUMNS), *rows]), 1 if unconverged else 0
 
 
 def _cmd_verify(poly, args):

@@ -111,47 +111,36 @@ def _newton(evaluate, propose, zs, models):
     condition (slope ``ARMIJO_SLOPE``) or on that test: the value has not risen even where
     its differences fall below rounding.  A problem ends unconverged at a stall, after
     ``_MAX_STEPS`` damped steps, when ``t`` gets below 1e-14, or when an accepted step leaves
-    its iterate unchanged.  Each round proposes a step for every problem that has no line
-    search open, then evaluates every open trial in one ``evaluate`` call; a problem's rules
-    read its own models alone, so it takes the same path whatever runs beside it.  Returns
-    lists: the last iterates, their models (None after a converging step), the damped step
-    counts and whether each converged."""
+    its iterate unchanged.  Each round proposes a step for every problem that just moved,
+    then evaluates every open trial in one ``evaluate`` call, in increasing problem order; a
+    problem's rules read its own models alone, so it takes the same path whatever runs beside
+    it.  Returns lists: the last iterates, the damped step counts and whether each converged."""
     zs, models = list(zs), list(models)
     steps, converged = [0] * len(zs), [False] * len(zs)
-    searches = [None] * len(zs)  # each problem's open line search: (line, slope, flat test, t)
-    active = range(len(zs))
-    while active:
-        trials, points = [], []
-        for i in active:
-            if (search := searches[i]) is None:
-                if (proposal := propose(zs[i], models[i])) is None:
-                    continue
+    searches, fresh = [], range(len(zs))  # the open line searches: (problem, line, slope, flat test, t)
+    while True:
+        for i in fresh:
+            if (proposal := propose(zs[i], models[i])) is not None:
                 line, slope, done, stalled, flat = proposal
                 if done:
-                    zs[i], models[i], converged[i] = line(1.0), None, True
-                    continue
-                if steps[i] >= _MAX_STEPS or stalled:
-                    continue
-                search = searches[i] = (line, slope, flat, 1.0)
-            trials.append(i)
-            points.append(search[0](search[3]))
-        if not trials:
-            break
-        active = []
-        for i, point, trial in zip(trials, points, evaluate(trials, points)):
-            line, slope, flat, t = searches[i]
-            searches[i] = None
+                    zs[i], converged[i] = line(1.0), True
+                elif steps[i] < _MAX_STEPS and not stalled:
+                    searches.append((i, line, slope, flat, 1.0))
+        if not searches:
+            return zs, steps, converged
+        searches.sort()  # by problem alone, as no problem has two open searches
+        problems, points = [], []
+        for i, line, _, _, t in searches:
+            problems.append(i)
+            points.append(line(t))
+        opened, searches, fresh = searches, [], []
+        for (i, line, slope, flat, t), point, trial in zip(opened, points, evaluate(problems, points)):
             if trial[0] <= models[i][0] + ARMIJO_SLOPE * t * slope or flat(trial):
-                if point == zs[i]:
-                    continue
-                zs[i], models[i] = point, trial
-                steps[i] += 1
+                if point != zs[i]:
+                    zs[i], models[i], steps[i] = point, trial, steps[i] + 1
+                    fresh.append(i)
             elif (t := t * BACKTRACK_FACTOR) >= 1e-14:
-                searches[i] = (line, slope, flat, t)
-            else:
-                continue
-            active.append(i)
-    return zs, models, steps, converged
+                searches.append((i, line, slope, flat, t))
 
 
 def _checked_height(poly: Polygon, height) -> float:
@@ -183,10 +172,17 @@ def center_at_height(poly: Polygon, height, x0=None) -> CenterResult:
     slope bound is 0, by convexity.  The Hessian determinant is lost on thin
     bases whose long edges are parallel and off the axes, and for ``h /
     diameter`` beyond about 1e-77 or 1e154.  Raises ``SolverError``, before any
-    step, where ``perimeter * h`` overflows.
+    step, where ``perimeter * h`` overflows, or where ``x0`` is so far from the
+    base that the sums of the model there can.
     """
     h = _checked_height(poly, height)
     x = centroid(poly) if x0 is None else _finite_point(x0, "starting point")
+    if x0 is not None:
+        # s_i(x) <= |d_i(centroid)| + h + |x - centroid| and a model term is at most 2 s_i: past
+        # the centroid's sum of a_i |d_i|, the start's sums are at most this bound
+        reach = h + math.dist(x.tolist(), poly._centroid.tolist())
+        if not math.isfinite(max(poly.perimeter, 2.0) * reach):
+            raise SolverError(f"boundary area at h={h:g} is too large: x0 is too far from the base")
     return _centers(poly, [h], [tuple(x.tolist())])[0]
 
 
@@ -239,7 +235,7 @@ def _centers(poly: Polygon, heights, starts) -> list[CenterResult]:
         done = length + noise <= TOL * poly.diameter and 8.0 * length <= float(slant.min())
         return lambda t: (px + t * sx, py + t * sy), gx * sx + gy * sy, done, length <= noise, flat
 
-    zs, _, iterations, converged = _newton(evaluate, propose, starts, evaluate(range(len(heights)), starts))
+    zs, iterations, converged = _newton(evaluate, propose, starts, evaluate(range(len(heights)), starts))
     _, d, slant, grad, _, _ = _local_model(poly, zs[0] if single else np.array(zs)[:, None], h, forms)
     boundary, grads = poly.area + slant @ half, grad.tolist()
     if single:
@@ -272,14 +268,13 @@ def _joint_model(poly: Polygon, x, u):
         raise SolverError(f"boundary area at u={u:g} is too large: perimeter * e**u overflows")
     value, d, slant, grad_x, w, _ = _local_model(poly, x, h, False)
     b = poly.area + float(value)
-    q, r = h / slant, d / slant
-    scaled_normals = poly.diameter * poly.normals
-    terms = poly._half_lengths * q * q / b  # d(log B)/du = sum_i terms_i s_i
+    terms = poly._half_lengths * (h / slant) ** 2 / b  # d(log B)/du = sum_i terms_i s_i
     grad = np.append(poly.diameter / b * grad_x, float(terms @ slant))
-    hess = np.empty((3, 3))  # of B, over B
-    hess[:2, :2] = (scaled_normals.T * (terms / slant)) @ scaled_normals
-    hess[:2, 2] = hess[2, :2] = -(scaled_normals.T @ (terms * r))
-    hess[2, 2] = float((terms * slant) @ (2.0 * r * r + q * q))
+    # of B, over B: sum_i (terms_i / s_i) v_i v_i^T with v_i = (D n_i, -d_i), plus d(log B)/du
+    # on (u, u), as d2(s_i)/du2 = (h**2 / s_i) (2 - h**2 / s_i**2) = (h**2 / s_i) (1 + d_i**2 / s_i**2)
+    v = np.vstack((poly.diameter * poly.normals.T, -d))
+    hess = (v * (terms / slant)) @ v.T
+    hess[2, 2] += grad[2]
     # phi is only quasi-convex; less the rank-one term, the Hessian is the convex 3 B / b's.
     # A subnormal eigenvalue passes for positive, but 1 / (3 lam) overflows.
     for candidate in (hess - np.outer(grad, grad), hess):
@@ -287,7 +282,7 @@ def _joint_model(poly: Polygon, x, u):
         if lam[0] > sys.float_info.min:
             break
     inverse = (vec / (3.0 * lam)) @ vec.T if lam[0] > sys.float_info.min else None
-    error = np.append(np.abs(scaled_normals.T) @ np.abs(w) / b, grad[2] + 2.0 / 3.0)
+    error = np.append(np.abs(v[:2]) @ np.abs(w) / b, grad[2] + 2.0 / 3.0)
     grad = 3.0 * grad - np.array([0.0, 0.0, 2.0])
     return 3.0 * math.log(b) - 2.0 * u, grad, inverse, 1.5 * _EPS * error
 
@@ -326,7 +321,7 @@ def optimal_cone(poly: Polygon) -> OptimalCone:
             return x + t * (diameter * sx), y + t * (diameter * sy), u + t * su
         return line, float(grad @ step), done, stalled, lambda m: m[1] @ step <= m[3] @ abs(step)
 
-    [z], _, [iterations], [converged] = _newton(evaluate, propose, [z], evaluate([0], [z]))
+    [z], [iterations], [converged] = _newton(evaluate, propose, [z], evaluate([0], [z]))
     certified = center_at_height(poly, math.exp(z[2]), x0=z[:2])
     return OptimalCone(
         center=certified.center,

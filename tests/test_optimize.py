@@ -381,6 +381,67 @@ def test_iteration_cap_returns_best_iterate_unconverged(monkeypatch, solver):
     assert value <= start
 
 
+# Synthetic one-variable problems for optimize._newton, one for each way it ends: name ->
+# (start, value, Newton step or None where the Hessian is lost, whether the step converges).
+# Each claims the slope -|step|, so "floor"'s uphill trials are never accepted, and a step
+# that is exactly 0 is a stall.
+_NEWTON_PROBLEMS = {
+    "lost": (0.5, lambda x: x * x, None, False),
+    "converges": (0.5, lambda x: x * x, lambda x: -x, True),
+    "stalls": (0.5, lambda x: (x - 1.0) ** 2, lambda x: 1.0 - x, False),
+    "capped": (0.0, lambda x: -x, lambda x: 1.0, False),
+    "floor": (0.5, lambda x: x * x, lambda x: 1.0, False),
+    "unchanged": (1.0, lambda x: x * x, lambda x: -1e-20, False),
+}
+
+
+def _run_newton(names):
+    """``optimize._newton`` on the named problems side by side: each one's last iterate,
+    damped steps, converged flag and the points of its evaluated trials."""
+    trials = [[] for _ in names]
+
+    def model(i, z):
+        return _NEWTON_PROBLEMS[names[i]][1](z[0]), names[i]
+
+    def evaluate(problems, points):
+        assert list(problems) == sorted(problems)  # _centers relies on the order
+        for i, z in zip(problems, points):
+            trials[i].append(z)
+        return [model(i, z) for i, z in zip(problems, points)]
+
+    def propose(z, model):
+        _, step, done = _NEWTON_PROBLEMS[model[1]][1:]
+        if step is None:
+            return None
+        (x,) = z
+        s = step(x)
+        return (lambda t: (x + t * s,)), -abs(s), done, s == 0.0, lambda trial: False
+
+    starts = [(_NEWTON_PROBLEMS[name][0],) for name in names]
+    zs, steps, converged = optimize_module._newton(
+        evaluate, propose, starts, [model(i, z) for i, z in enumerate(starts)]
+    )
+    return list(zip(zs, steps, converged, trials))
+
+
+def test_newton_loop_ends_each_problem_by_its_own_rule_whatever_runs_beside_it(monkeypatch):
+    monkeypatch.setattr(optimize_module, "_MAX_STEPS", 3)
+    expected = {
+        "lost": ((0.5,), 0, False, []),
+        "converges": ((0.0,), 0, True, []),  # the converging step is taken, not counted
+        "stalls": ((1.0,), 1, False, [(1.0,)]),
+        "capped": ((3.0,), 3, False, [(1.0,), (2.0,), (3.0,)]),
+        # t = 1, 1/2, ..., 2**-46; 2**-47 is below the 1e-14 floor
+        "floor": ((0.5,), 0, False, [(0.5 + 0.5**k,) for k in range(47)]),
+        # accepted, but 1 - 1e-20 rounds to 1
+        "unchanged": ((1.0,), 0, False, [(1.0,)]),
+    }
+    names = list(expected)
+    mixed = [names[i] for i in np.random.default_rng(29).permutation(3 * len(names)) % len(names)]
+    for order in [[name] for name in names] + [names, names[::-1], mixed]:
+        assert _run_newton(order) == [expected[name] for name in order]
+
+
 def test_thin_triangle_converges_when_line_search_reaches_rounding_floor():
     # after three Newton steps the predicted decrease (~3e-18) is below the
     # rounding of the value, so no backtracked step changes it
@@ -677,11 +738,57 @@ def test_boundary_area_beyond_the_float_range_raises_without_a_warning():
     assert entry.result is None and entry.error.startswith("SolverError: boundary area at h=1e+308")
 
 
+def test_center_from_a_start_whose_sums_overflow_raises_without_a_warning():
+    # at (+-1e308, 1e308) the lateral sum at the start is beyond the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x0 in [(1e308, 1e308), (-1e308, 1e308)]:
+            with pytest.raises(SolverError, match="^boundary area at h=1 is too large: x0 is too far from"):
+                center_at_height(TRAPEZOID, 1.0, x0=x0)
+        # a far start whose sums are finite runs; its Hessian is lost there, so it is flagged
+        far = center_at_height(TRAPEZOID, 1.0, x0=(1e200, 0.0))
+    assert far.converged is False and far.iterations == 0
+    assert far.boundary_area == pytest.approx(4e200, rel=1e-12)
+    # a start near the base runs however large the base: here perimeter * diameter overflows
+    huge = build_polygon([(0.0, 0.0), (1.2e154, 0.0), (1.2e154, 1.2e151), (0.0, 1.2e151)])
+    assert center_at_height(huge, 1.2e151, x0=centroid(huge)).converged
+
+
 @pytest.mark.parametrize("u", [709.0, 710.0])
 def test_joint_model_names_a_log_height_where_perimeter_times_height_overflows(u):
     # e**709 is a float but perimeter * e**709 is not; math.exp(710) itself overflows
     with pytest.raises(SolverError, match=f"^boundary area at u={u:g} is too large"):
         optimize_module._joint_model(TRAPEZOID, centroid(TRAPEZOID), u)
+
+
+def test_joint_model_gradient_and_inverse_hessian_match_central_differences():
+    # phi in (x / D, y / D, log h), at points around the optimal cone where phi's full Hessian is
+    # positive definite, so the model inverts it, not the one less the rank-one term
+    quadrilateral = [(0.0, 0.0), (1.0, 0.0), (0.75, 0.01), (0.25, 0.01)]
+    bases = [
+        TRAPEZOID,
+        build_polygon(helpers.random_triangle(np.random.default_rng(29))),
+        build_polygon(helpers.rotate_translate(quadrilateral, math.atan2(4.0, 3.0), (0.0, 0.0))),
+    ]
+    for poly in bases:
+        d, r = poly.diameter, 2.0 * poly.area / poly.perimeter / poly.diameter
+        best = optimal_cone(poly)
+        optimum = np.array([*(best.center / d), math.log(best.height)])
+
+        def model(p):
+            return optimize_module._joint_model(poly, (d * p[0], d * p[1]), p[2])
+
+        steps = np.diag([1e-4 * r, 1e-4 * r, 1e-4])  # x and y in inradii
+        for offset in [(0, 0, 0), (0.2, -0.1, 0.1), (-0.1, 0.2, -0.2), (0, 0, 0.5), (0.3, 0.3, -0.5)]:
+            p = optimum + np.array(offset) * (r, r, 1.0)
+            _, grad, inverse, _ = model(p)
+            differences = [(model(p + e), model(p - e), e.max()) for e in steps]
+            grad_fd = np.array([(plus[0] - minus[0]) / (2.0 * e) for plus, minus, e in differences])
+            hess_fd = np.array([(plus[1] - minus[1]) / (2.0 * e) for plus, minus, e in differences])
+            hess_fd = (hess_fd + hess_fd.T) / 2.0
+            assert np.linalg.eigvalsh(hess_fd)[0] > 0.1
+            assert np.abs(grad - grad_fd).max() <= 1e-7
+            assert np.abs(inverse @ hess_fd - np.eye(3)).max() <= 1e-5
 
 
 def _assert_entries_are_their_own_solves(poly, heights, entries):
