@@ -18,7 +18,6 @@ from conecenter import (
     boundary_gradient,
     build_polygon,
     center_at_height,
-    centroid,
     cone_volume,
     equal_angle_residual,
     isoperimetric_ratio,
@@ -168,7 +167,8 @@ def test_boundary_areas_rejects_a_batch_that_does_not_match_its_heights(shape, h
 def test_each_distance_is_formed_once(monkeypatch):
     # the single-point model picks its form from its own distances, so a solve
     # that starts in the shifted form makes one distance pass at its start
-    # point; a batch forms its (m, n) distances once for all of its heights
+    # point, the tall-cone limit; a batch forms its (m, n) distances once for
+    # all of its heights
     calls = []
     true_distances = cone_module.signed_distances
 
@@ -177,7 +177,7 @@ def test_each_distance_is_formed_once(monkeypatch):
         return true_distances(poly, points)
 
     monkeypatch.setattr(cone_module, "signed_distances", recording)
-    start = centroid(TRAPEZOID)
+    start = TRAPEZOID._tall_limit
     assert _local_model(TRAPEZOID, start, 1e-9)[5]  # the shifted form
     calls.clear()
     assert center_at_height(TRAPEZOID, 1e-9).converged
