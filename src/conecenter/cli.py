@@ -196,7 +196,8 @@ def _cmd_verify(poly, args):
         check(
             solved.converged and rel <= 1e-6,
             f"minimum value h={h:g}",
-            f"solver={solved.boundary_area:.12g} oracle={value:.12g} rel_diff={rel:.3e}",
+            f"solver={solved.boundary_area:.12g} oracle={value:.12g} rel_diff={rel:.3e}"
+            + ("" if solved.converged else " (solver not converged)"),
         )
         distance = float(np.linalg.norm(point - solved.center))
         check(

@@ -1,7 +1,9 @@
 """Grid oracle, independent of the solvers: it refines a rectangular grid
-around the incumbent best point with the cone kernel alone.  Each round skips
-the tiles whose convex lower bound, less a rounding allowance, cannot reach
-the least value, so it returns what a scan of every grid point would.
+around the incumbent best point with the cone kernel alone.  A round either
+evaluates a window around the incumbent whose sides' convex lower bounds, less
+a rounding allowance, rule out every point outside it, or skips the tiles whose
+bound cannot reach the least value; either way it returns what a scan of every
+grid point would.
 """
 
 from __future__ import annotations
@@ -100,17 +102,25 @@ def _refine(poly: Polygon, spec: GridSpec, h_range, samples, score):
     Each round spans a grid over the current box at ``samples`` heights over
     the current interval, one for an interval ``(h, h)``; the two axes and the
     heights are ``np.linspace`` bit for bit unless a step underflows.  The
-    grid is never formed: the tile centers, 8 points a side, and the scanned
-    rectangle are x-major products of slices of the two axes.  One
-    :func:`boundary_areas` call (more past 32 MiB of distances) scans the index
-    rectangle of the tiles whose :func:`_tile_bounds` do not exceed (or are
-    nan) the least center value at some height; its ``argmin`` is a full
-    scan's.  BLAS sums a lone point and the last ``len % 4`` of a call in
-    another order, so tiles are a multiple of 4, the last taking the rest.  A
-    round that keeps over 3/4 of the grid ends the pruning, which costs more
-    than it saves.  The best ``score(boundary, height)`` re-centers the box and
-    the interval, each zoomed and clipped into its range.  Returns ``(point,
-    height, score)``.
+    grid is never formed: every point set is built, x-major, from slices of
+    the axes in whole tiles of 8 points a side.  From the second round on,
+    where 3 x 3 tiles are at most a quarter of the grid, one
+    :func:`_tile_bounds` call evaluates the window of the 3 x 3 tiles around
+    the incumbent's, unless one of them is a border tile.  Its values are the
+    round's scan when, at every height, the lower bounds on the window's four
+    sides, within half a cell diagonal of each side point, exceed the
+    window's least value plus the point's allowance: ``B`` is convex, so on
+    the segment from that least point to a grid point outside, which crosses
+    a side, ``B`` is at most the larger end, and no point outside ties or
+    beats it.  Any other round evaluates the tile centers through
+    :func:`_tile_bounds` and scans, in one :func:`boundary_areas` call (more
+    past 32 MiB of distances), the tiles whose bounds do not exceed (or are
+    nan) the least center value at some height.  Either way the ``argmin`` is
+    a full scan's: BLAS sums a lone point and the last ``len % 4`` of a call
+    in another order, and every tile is a multiple of 4 points but the corner
+    tile, which holds the grid's last point and comes last.  The best
+    ``score(boundary, height)`` re-centers the box and the interval, each
+    zoomed and clipped into its range.  Returns ``(point, height, score)``.
     """
     lower, upper = declared = [(*spec.box[0], h_range[0]), (*spec.box[1], h_range[1])]  # (x, y, h) ranges
     r = spec.resolution
@@ -118,25 +128,36 @@ def _refine(poly: Polygon, spec: GridSpec, h_range, samples, score):
     indices = index, index, np.arange(samples)
     starts = index[:max(r // 8, 1) * 8:8]  # tiles
     ends = np.append(starts[1:], r)
+    sizes = ends - starts
     mid = (starts + ends - 1) // 2  # centers
     reach = ends - 1 - mid  # steps from a tile's center to its farthest point
-    best, prune = (None, math.nan, math.inf), True
+    best = (None, math.nan, math.inf)
     for _ in range(spec.refine_rounds + 1):
         steps = [(hi - lo) / max(len(i) - 1, 1) for lo, hi, i in zip(lower, upper, indices)]
         x, y, heights = (i * step + lo for i, step, lo in zip(indices, steps, lower))
         x[-1], y[-1], heights[-1] = upper
-        rows = cols = [0, -1]  # every tile, unless the tile bounds drop some
-        if prune:
+        scans = None
+        if best[0] is not None and 4 * 24 * 24 <= r * r:  # a window of 3 x 3 tiles, 24 points a side
+            a, b = (int(axis.searchsorted(p)) // 8 * 8 - 8 for axis, p in zip((x, y), best[0].tolist()))
+            if 0 < a <= starts[-1] - 24 and 0 < b <= starts[-1] - 24:  # no border tile
+                points = _product(x[a:a + 24], y[b:b + 24])
+                window, lb, allowance = _tile_bounds(poly, points, heights, 0.5 * math.hypot(steps[0], steps[1]))
+                gap = (lb - allowance - window.min(axis=1, keepdims=True)).reshape(samples, 24, 24)
+                if (gap[:, ::23] > 0).all() and (gap[:, :, ::23] > 0).all():  # every side, at every height
+                    scans = [(heights.tolist(), window)]
+        if scans is None:
             rho = np.hypot.outer(reach * steps[0], reach * steps[1]).ravel()
             center, lb, _ = _tile_bounds(poly, _product(x[mid], y[mid]), heights, rho)
             kept = ~(lb > center.min(axis=1, keepdims=True)).all(axis=0).reshape(len(mid), -1)
             rows, cols = kept.any(axis=1).nonzero()[0], kept.any(axis=0).nonzero()[0]
-        points = _product(x[starts[rows[0]]:ends[rows[-1]]], y[starts[cols[0]]:ends[cols[-1]]])
-        prune = 4 * len(points) <= 3 * r * r
-        c = max(1, 2**22 // (len(poly.lengths) * len(points)))  # heights per call: <= 32 MiB of distances
-        heights = heights.tolist()
-        for hs in (heights[i:i + c] for i in range(0, samples, c)):
-            for h, row in zip(hs, boundary_areas(poly, points, hs)):
+            rows, cols = slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+            i, j = np.repeat(np.repeat(kept[rows, cols], sizes[rows], 0), sizes[cols], 1).nonzero()  # x-major
+            points = np.column_stack((x[i + starts[rows.start]], y[j + starts[cols.start]]))
+            c = max(1, 2**22 // (len(poly.lengths) * len(points)))  # heights per call: <= 32 MiB of distances
+            heights = heights.tolist()
+            scans = ((heights[k:k + c], boundary_areas(poly, points, heights[k:k + c])) for k in range(0, samples, c))
+        for hs, areas in scans:
+            for h, row in zip(hs, areas):
                 j = row.argmin()
                 value = score(float(row[j]), h)
                 if value < best[2]:

@@ -215,6 +215,20 @@ def test_verify_passes_on_a_trapezoid_shifted_by_a_million(tmp_path, capsys):
     assert out.endswith("all checks passed\n") and "FAIL" not in out
 
 
+def test_verify_says_when_the_minimum_value_fails_for_an_unconverged_solve(tmp_path, capsys):
+    # shifted by 1e7, one ulp of the center is above TOL * D: every solve ends
+    # unconverged, so "minimum value" fails although the two values agree
+    vertices = json.loads(Path(TRAPEZOID).read_text())["vertices"]
+    shifted = tmp_path / "trapezoid_1e7.json"
+    shifted.write_text(json.dumps({"vertices": [[x + 1e7, y + 1e7] for x, y in vertices]}))
+    code, out, err = run(capsys, "verify", str(shifted), "--heights", "0.3")
+    assert (code, err) == (1, "")
+    line = out.splitlines()[0]
+    assert line.startswith("FAIL minimum value h=0.3: solver=") and line.endswith(" (solver not converged)")
+    _, out, _ = run(capsys, "verify", TRAPEZOID, "--heights", "0.3")
+    assert "not converged" not in out
+
+
 def test_verify_exits_1_naming_the_failed_check(monkeypatch, capsys):
     real = oracle.grid_min_boundary
 

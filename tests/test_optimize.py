@@ -622,6 +622,29 @@ def test_converged_optimal_cones_lie_within_tol_of_a_60_digit_reference():
     assert max(errors_x) <= 1.0 and max(errors_u) <= 1.0
 
 
+def test_fuzzed_converged_optimal_cones_lie_within_tol_of_a_60_digit_reference():
+    # helpers.fuzz_draw's bases (its heights unused), under warnings-as-errors.  Where
+    # one ulp of the center is below TOL * D / 20, every converged optimal cone is within
+    # TOL * D of the 60-digit one in the center and within TOL in log h
+    rng = np.random.default_rng(2)
+    errors_x, errors_u = [], []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(100):
+            vertices, _ = helpers.fuzz_draw(rng)
+            poly = build_polygon(vertices)
+            best = optimal_cone(poly)
+            tol = optimize_module.TOL * poly.diameter
+            if best.converged and np.spacing(np.abs(best.center).max()) < 0.05 * tol:
+                x, y, u = helpers.decimal_optimal_cone(poly.vertices)
+                off = math.hypot(float(x - Decimal(best.center[0])), float(y - Decimal(best.center[1])))
+                errors_x.append(off / tol)
+                errors_u.append(abs(float(u - Decimal(best.height).ln())) / optimize_module.TOL)
+    assert len(errors_x) >= 70  # 81 here; 10 are limited by the ulp, 9 end unconverged
+    # the worst seen are 0.023 in the center and 0.26 in log h
+    assert max(errors_x) <= 1.0 and max(errors_u) <= 1.0
+
+
 def test_optimal_trapezoid_cone():
     best = optimal_cone(TRAPEZOID)
     assert best.height == pytest.approx(3.2503, abs=5e-3)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import helpers
 from conecenter import (
@@ -179,17 +180,20 @@ def test_grid_axes_are_linspace_bit_for_bit(monkeypatch):
     assert heights[0].tobytes() == np.linspace(2.6, 6.8, 7).tobytes()  # six steps of 0.7 end an ulp short of 6.8
     for hs in heights:
         assert hs.tobytes() == np.linspace(hs[0], hs[-1], 7).tobytes()
-    # with tiles dropped, each round scans an index rectangle of the same grid
+    # with tiles dropped, each round scans whole tiles of the same grid, x-major: at 41
+    # points an axis holds four tiles of 8 points and a last one of 9
     pruned, result = recorded_scan(monkeypatch, lambda: grid_min_ratio(TRAPEZOID, spec, h_samples=3))
     assert [len(hs) for _, hs in pruned] == [3] * len(full)
-    assert min(len(rectangle) for rectangle, _ in pruned) < r * r
-    for (rectangle, _), (grid, _) in zip(pruned, full):
+    assert min(len(points) for points, _ in pruned) < r * r
+    tiles = np.minimum(np.arange(r) // 8, 4)
+    sizes = np.bincount(tiles)
+    for (points, _), (grid, _) in zip(pruned, full):
         grid = grid.reshape(r, r, 2)
-        i0 = int(np.flatnonzero(grid[:, 0, 0] == rectangle[0, 0])[0])
-        j0 = int(np.flatnonzero(grid[0, :, 1] == rectangle[0, 1])[0])
-        ny = int(np.count_nonzero(rectangle[:, 0] == rectangle[0, 0]))
-        nx = len(rectangle) // ny
-        assert rectangle.tobytes() == grid[i0:i0 + nx, j0:j0 + ny].tobytes()
+        i, j = np.searchsorted(grid[:, 0, 0], points[:, 0]), np.searchsorted(grid[0, :, 1], points[:, 1])
+        assert points.tobytes() == grid[i, j].tobytes()  # grid points, bit for bit
+        assert np.all(np.diff(i * r + j) > 0)  # x-major, each once
+        kept, counts = np.unique(5 * tiles[i] + tiles[j], return_counts=True)
+        assert np.array_equal(counts, sizes[kept // 5] * sizes[kept % 5])  # whole tiles
     assert result[0].tobytes() == full_result[0].tobytes() and result[1:] == full_result[1:]
 
 
@@ -236,14 +240,25 @@ def test_grid_min_ratio_matches_the_nested_scan(vertices):
 def test_lockstep_scan_splits_large_batches(monkeypatch):
     # the library default: 33 heights x 4 edges x 201**2 points would hold 43 MB of
     # distances at once; each call holds at most 2**22 of them (32 MiB), 25 heights
-    # of the whole grid, and the smaller rectangles of a pruned scan take more heights
+    # of the whole grid, and the kept tiles of a pruned scan take more heights
     m = len(TRAPEZOID.lengths)
     full, full_result = recorded_scan(monkeypatch, lambda: grid_min_ratio(TRAPEZOID), False)
     spec = default_grid_spec(TRAPEZOID)
     assert [len(hs) for _, hs in full] == [25, 8] * (spec.refine_rounds + 1)
+    windows = []
+    true_bounds = oracle_module._tile_bounds
+
+    def recording_bounds(poly, points, h, rho):
+        if np.ndim(rho) == 0:  # a window: the 3 x 3 tiles around the incumbent's
+            windows.append((len(points), len(h)))
+        return true_bounds(poly, points, h, rho)
+
+    monkeypatch.setattr(oracle_module, "_tile_bounds", recording_bounds)
     pruned, result = recorded_scan(monkeypatch, lambda: grid_min_ratio(TRAPEZOID))
     assert all(len(hs) * len(points) * m <= 2**22 for points, hs in pruned)
-    assert len(pruned) == spec.refine_rounds + 1  # each rectangle fits in one call
+    assert len(pruned) == 1  # the first round's kept tiles fit in one call
+    # every later round is a window of 24 x 24 points at all 33 heights, certified
+    assert windows == [(576, 33)] * spec.refine_rounds
     assert result[0].tobytes() == full_result[0].tobytes() and result[1:] == full_result[1:]
     point, height, value = result
     best = optimal_cone(TRAPEZOID)
@@ -453,11 +468,38 @@ def test_pruned_scans_equal_full_scans_bitwise(resolution):
             assert (point.tobytes(), height, value) == (expected[0].tobytes(), *expected[1:]), i
 
 
+def test_window_rounds_are_certified_or_fall_back_bitwise(monkeypatch):
+    # At the default resolution every later round first evaluates the window of 3 x 3
+    # tiles around the incumbent's.  On STRESS, ratio scans at three heights take both
+    # branches: the stars, the 1e7 shift and the 1e-150 and 1e150 scales certify every
+    # window, the U and the thin bases fall back to the tile pass each round.  Each
+    # scan is a full scan's bit for bit
+    calls = []
+    true_bounds = oracle_module._tile_bounds
+
+    def recording(poly, points, h, rho):
+        calls.append("W" if np.ndim(rho) == 0 else "T")  # a window has one rho, a tile pass one a tile
+        return true_bounds(poly, points, h, rho)
+
+    monkeypatch.setattr(oracle_module, "_tile_bounds", recording)
+    for i, poly in enumerate(STRESS):
+        spec = default_grid_spec(poly)
+        scale = 2.0 * poly.area / poly.perimeter
+        point, height, value = grid_min_ratio(poly, spec, h_samples=3)
+        expected = full_scan(poly, spec, (0.05 * scale, 10.0 * scale), 3, lambda b, h: ratio(poly, b, h))
+        assert (point.tobytes(), height, value) == (expected[0].tobytes(), *expected[1:]), i
+    rounds = "".join(calls)
+    fallbacks = rounds.count("WT")  # a window whose sides fail, then the tile pass
+    certified = rounds.count("W") - fallbacks
+    assert certified >= 30 and fallbacks >= 30  # 36 and 42 here
+
+
 def test_default_scan_work_is_pinned(monkeypatch):
     # the work of the trapezoid's default scan at h = 1, in counts that do not
-    # depend on the machine: the points of every boundary_areas call, and the
-    # 25 x 25 tile centers that each of the 7 rounds evaluates through _kernel
-    scanned, centers = [], []
+    # depend on the machine: the points of every boundary_areas call, and of every
+    # _kernel call: the first round's 25 x 25 tile centers, then the 24 x 24 window
+    # that each of the 6 later rounds evaluates through _tile_bounds, all certified
+    scanned, kernel = [], []
     true_eval, true_kernel = oracle_module.boundary_areas, oracle_module._kernel
 
     def counting_eval(poly, points, h):
@@ -465,24 +507,27 @@ def test_default_scan_work_is_pinned(monkeypatch):
         return true_eval(poly, points, h)
 
     def counting_kernel(poly, p, h, keep=False):
-        centers.append(len(np.asarray(p).reshape(-1, 2)))
+        kernel.append(len(np.asarray(p).reshape(-1, 2)))
         return true_kernel(poly, p, h, keep)
 
     monkeypatch.setattr(oracle_module, "boundary_areas", counting_eval)
     monkeypatch.setattr(oracle_module, "_kernel", counting_kernel)
     grid_min_boundary(TRAPEZOID, 1.0)
-    assert sum(scanned) == 4224  # as perfbench's oracle.grid_points counts them
-    assert centers == [625] * 7
+    assert scanned == [576]  # as perfbench's oracle.grid_points counts them
+    assert kernel == [625] + [576] * 6
 
 
 def test_tile_bound_allowance_covers_the_rounding():
     # On every 8 x 8 tile of 201**2 grids around the grid minimum, zoomed 1, 5**3 and
     # 5**6 times, the computed areas stay above the center's computed bound less the
-    # allowance: the bound uses at most a small share of the allowance
+    # allowance: the bound uses at most a small share of the allowance.  So do the
+    # bounds of a window's side points, whose rho is half a cell diagonal: at each
+    # point of the grid's middle 49 x 49, against the areas at the 8 half-step points
+    # around it
     starts = np.arange(25) * 8
     ends = np.append(starts[1:], 201)
     mid = (starts + ends - 1) // 2
-    worst = 0.0
+    worst = worst_side = 0.0
     for poly in STRESS:
         spec = default_grid_spec(poly)
         extent = np.subtract(*spec.box[::-1])
@@ -504,4 +549,18 @@ def test_tile_bound_allowance_covers_the_rounding():
                     used = (lower[0] + allowance[0] - tile_min) / allowance[0]
                 assert not np.any(used > 1.0)
                 worst = max(worst, float(np.nanmax(used)))
+                # the half-step axes around grid points 76 to 124: midpoints at even indices
+                half = [np.empty(99), np.empty(99)]
+                for axis, v in zip(half, (x, y)):
+                    axis[0::2], axis[1::2] = (v[75:125] + v[76:126]) / 2, v[76:125]
+                fine = boundary_areas(poly, np.stack(np.meshgrid(*half, indexing="ij"), axis=-1).reshape(-1, 2), h)
+                near = sliding_window_view(fine.reshape(99, 99), (3, 3))[::2, ::2].min(axis=(2, 3)).ravel()
+                rho = 0.5 * math.hypot(np.diff(x[75:126]).max(), np.diff(y[75:126]).max())
+                _, lower, allowance = oracle_module._tile_bounds(poly, grid[76:125, 76:125].reshape(-1, 2),
+                                                                 np.array([h]), rho)
+                with np.errstate(invalid="ignore"):
+                    used = (lower[0] + allowance[0] - near) / allowance[0]
+                assert not np.any(used > 1.0)
+                worst_side = max(worst_side, float(np.nanmax(used)))
     assert worst <= 0.1  # the measured worst is 0.026
+    assert worst_side <= 0.1  # the measured worst is 0.031
