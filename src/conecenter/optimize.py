@@ -284,15 +284,18 @@ def _joint_model(poly: Polygon, x, u):
     # of B, over B: sum_i (terms_i / s_i) v_i v_i^T with v_i = (D n_i, -d_i), plus d(log B)/du
     # on (u, u), as d2(s_i)/du2 = (h**2 / s_i) (2 - h**2 / s_i**2) = (h**2 / s_i) (1 + d_i**2 / s_i**2)
     v[:2], v[2] = poly.diameter * poly.normals.T, -d
-    hess = (v * (terms / slant)) @ v.T
-    hess[2, 2] += grad[2]
+    with np.errstate(over="ignore", invalid="ignore"):  # a Hessian beyond the float range is lost
+        hess = (v * (terms / slant)) @ v.T
+        hess[2, 2] += grad[2]
+        candidates = (hess - np.outer(grad, grad), hess)
     # phi is only quasi-convex; less the rank-one term, the Hessian is the convex 3 B / b's.
     # A subnormal eigenvalue passes for positive, but 1 / (3 lam) overflows.
-    for candidate in (hess - np.outer(grad, grad), hess):
+    inverse = None
+    for candidate in candidates if np.isfinite(candidates[0]).all() else ():
         lam, vec = np.linalg.eigh(candidate)
         if lam[0] > sys.float_info.min:
+            inverse = (vec / (3.0 * lam)) @ vec.T
             break
-    inverse = (vec / (3.0 * lam)) @ vec.T if lam[0] > sys.float_info.min else None
     error[:2], error[2] = np.abs(v[:2]) @ np.abs(w) / b, grad[2] + 2.0 / 3.0
     grad[:2], grad[2] = 3.0 * grad[:2], 3.0 * grad[2] - 2.0
     return 3.0 * math.log(b) - 2.0 * u, grad, inverse, 1.5 * _EPS * error

@@ -597,6 +597,40 @@ def test_optimal_cone_inverts_no_subnormal_eigenvalue():
     assert math.isfinite(best.ratio)
 
 
+def test_optimal_cone_loses_a_hessian_beyond_the_float_range():
+    # on this sliver scaled by 1e-150, terms / slant in the start's joint Hessian
+    # overflows, and eigh raised LinAlgError on the infinite matrix; the Hessian is
+    # now lost, so the joint loop takes no step and the answer is flagged, while the
+    # certifying solve at the start height converges at once
+    sliver = build_polygon(np.array([(0.0, 0.0), (1.0, 0.0), (0.3, 1e-6)]) * 1e-150)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert optimize_module._joint_model(sliver, tuple(sliver._tall_limit), 0.0)[2] is None
+        best = optimal_cone(sliver)
+    assert best.converged is False and best.iterations == 0
+    [certified] = best.inner_results
+    assert certified.converged and certified.iterations == 0
+    assert best.height == pytest.approx(OPTIMAL_HEIGHT_RATIO * 2.0 * sliver.area / sliver.perimeter, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "shift, converged, off",
+    [
+        pytest.param(1e3, True, 1.2e-14, id="1e3"),
+        # one ulp of 1e7 (1.9e-9) is above TOL * diameter: flagged, yet close
+        pytest.param(1e7, False, 1.4e-10, id="1e7"),
+    ],
+)
+def test_shifted_trapezoid_answers_are_the_unshifted_ones_plus_the_shift(shift, converged, off):
+    best, center = optimal_cone(TRAPEZOID), center_at_height(TRAPEZOID, 1.0)
+    poly = build_polygon(TRAPEZOID.vertices + shift)
+    shifted_best, shifted_center = optimal_cone(poly), center_at_height(poly, 1.0)
+    assert shifted_best.converged is converged and shifted_center.converged is converged
+    for shifted, answer in ((shifted_best, best), (shifted_center, center)):
+        assert np.linalg.norm(shifted.center - shift - answer.center) <= off * TRAPEZOID.diameter
+    assert shifted_best.height == pytest.approx(best.height, rel=1e-15)
+
+
 def test_converged_optimal_cones_lie_within_tol_of_a_60_digit_reference():
     # converged=True promises |x - x*| <= TOL * D and |log h - log h*| <= TOL, (x*, h*)
     # the optimal cone of the float polygon; helpers.decimal_optimal_cone finds it at 60 digits

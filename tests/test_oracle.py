@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -143,19 +144,34 @@ def keep_every_tile(poly, centers, h, rho):
     return np.zeros(shape), np.full(shape, -np.inf), np.zeros(shape)
 
 
+def certified(value, lower, allowance):
+    """Whether a window's ``_tile_bounds`` result is its round's scan, by the side test
+    of oracle._refine: at every height, each side point's bound less its allowance
+    exceeds the window's least value."""
+    n = math.isqrt(value.shape[1])
+    gap = (lower - allowance - value.min(axis=1, keepdims=True)).reshape(len(value), n, n)
+    return bool((gap[:, ::n - 1] > 0).all() and (gap[:, :, ::n - 1] > 0).all())
+
+
 def recorded_scan(monkeypatch, scan, prune=True):
-    """The points and heights of every kernel call of ``scan()`` and its result."""
+    """The points, heights and kind of every scan of ``scan()``, a "kernel" call of
+    boundary_areas or a certified "window", and its result."""
     calls = []
-    true_eval = oracle_module.boundary_areas
+    true_eval, true_bounds = oracle_module.boundary_areas, oracle_module._tile_bounds
 
     def recording(poly, points, h):
-        calls.append((np.array(points, dtype=float), np.array(h, dtype=float)))
+        calls.append((np.array(points, dtype=float), np.array(h, dtype=float), "kernel"))
         return true_eval(poly, points, h)
+
+    def recording_bounds(poly, points, h, rho):
+        result = true_bounds(poly, points, h, rho)
+        if np.ndim(rho) == 0 and certified(*result):
+            calls.append((np.array(points, dtype=float), np.array(h, dtype=float), "window"))
+        return result
 
     with monkeypatch.context() as patch:
         patch.setattr(oracle_module, "boundary_areas", recording)
-        if not prune:
-            patch.setattr(oracle_module, "_tile_bounds", keep_every_tile)
+        patch.setattr(oracle_module, "_tile_bounds", recording_bounds if prune else keep_every_tile)
         return calls, scan()
 
 
@@ -164,36 +180,42 @@ def test_grid_axes_are_linspace_bit_for_bit(monkeypatch):
     r = 41
     spec = GridSpec(box=box, resolution=r, refine_rounds=3)
     full, full_result = recorded_scan(monkeypatch, lambda: grid_min_ratio(TRAPEZOID, spec, h_samples=3), False)
-    assert [len(hs) for _, hs in full] == [3] * (spec.refine_rounds + 1)  # one grid, every height
+    assert [len(hs) for _, hs, _ in full] == [3] * (spec.refine_rounds + 1)  # one grid, every height
     grids = full[0][0].reshape(r, r, 2)  # the declared box
     assert grids[:, 0, 0].tobytes() == np.linspace(box[0][0], box[1][0], r).tobytes()
     assert grids[0, :, 1].tobytes() == np.linspace(box[0][1], box[1][1], r).tobytes()
-    for grids in (points.reshape(r, r, 2) for points, _ in full):  # every box: an x-major product grid
+    for grids in (points.reshape(r, r, 2) for points, _, _ in full):  # every box: an x-major product grid
         x, y = grids[:, 0, 0], grids[0, :, 1]
         assert x.tobytes() == np.linspace(x[0], x[-1], r).tobytes()
         assert y.tobytes() == np.linspace(y[0], y[-1], r).tobytes()
         assert np.array_equal(grids, np.stack(np.meshgrid(x, y, indexing="ij"), axis=-1))
     # the heights of every round, from the declared interval on, are linspace too
     calls, _ = recorded_scan(monkeypatch, lambda: grid_min_ratio(TRAPEZOID, spec, h_range=(2.6, 6.8), h_samples=7))
-    heights = [hs for _, hs in calls]
+    heights = [hs for _, hs, _ in calls]
     assert len(heights) == spec.refine_rounds + 1
     assert heights[0].tobytes() == np.linspace(2.6, 6.8, 7).tobytes()  # six steps of 0.7 end an ulp short of 6.8
     for hs in heights:
         assert hs.tobytes() == np.linspace(hs[0], hs[-1], 7).tobytes()
-    # with tiles dropped, each round scans whole tiles of the same grid, x-major: at 41
-    # points an axis holds four tiles of 8 points and a last one of 9
+    # pruned, each round scans points of the same grid, x-major: whole tiles, at 41 points
+    # an axis four tiles of 8 points and a last one of 9, or a certified window of 12 x 12
+    # points off the border rows and columns (24 x 24 is more than a quarter of the grid)
     pruned, result = recorded_scan(monkeypatch, lambda: grid_min_ratio(TRAPEZOID, spec, h_samples=3))
-    assert [len(hs) for _, hs in pruned] == [3] * len(full)
-    assert min(len(points) for points, _ in pruned) < r * r
+    assert [len(hs) for _, hs, _ in pruned] == [3] * len(full)
+    assert [kind for *_, kind in pruned] == ["kernel"] + ["window"] * spec.refine_rounds
     tiles = np.minimum(np.arange(r) // 8, 4)
     sizes = np.bincount(tiles)
-    for (points, _), (grid, _) in zip(pruned, full):
+    for (points, _, kind), (grid, _, _) in zip(pruned, full):
         grid = grid.reshape(r, r, 2)
         i, j = np.searchsorted(grid[:, 0, 0], points[:, 0]), np.searchsorted(grid[0, :, 1], points[:, 1])
         assert points.tobytes() == grid[i, j].tobytes()  # grid points, bit for bit
         assert np.all(np.diff(i * r + j) > 0)  # x-major, each once
-        kept, counts = np.unique(5 * tiles[i] + tiles[j], return_counts=True)
-        assert np.array_equal(counts, sizes[kept // 5] * sizes[kept % 5])  # whole tiles
+        if kind == "window":
+            block = np.add.outer(np.arange(i[0], i[0] + 12) * r, np.arange(j[0], j[0] + 12)).ravel()
+            assert np.array_equal(i * r + j, block) and 0 < min(i[0], j[0]) and max(i[-1], j[-1]) < r - 1
+        else:
+            assert len(points) < r * r
+            kept, counts = np.unique(5 * tiles[i] + tiles[j], return_counts=True)
+            assert np.array_equal(counts, sizes[kept // 5] * sizes[kept % 5])  # whole tiles
     assert result[0].tobytes() == full_result[0].tobytes() and result[1:] == full_result[1:]
 
 
@@ -244,21 +266,22 @@ def test_lockstep_scan_splits_large_batches(monkeypatch):
     m = len(TRAPEZOID.lengths)
     full, full_result = recorded_scan(monkeypatch, lambda: grid_min_ratio(TRAPEZOID), False)
     spec = default_grid_spec(TRAPEZOID)
-    assert [len(hs) for _, hs in full] == [25, 8] * (spec.refine_rounds + 1)
+    assert [len(hs) for _, hs, _ in full] == [25, 8] * (spec.refine_rounds + 1)
     windows = []
     true_bounds = oracle_module._tile_bounds
 
     def recording_bounds(poly, points, h, rho):
-        if np.ndim(rho) == 0:  # a window: the 3 x 3 tiles around the incumbent's
+        if np.ndim(rho) == 0:  # a window around the incumbent
             windows.append((len(points), len(h)))
         return true_bounds(poly, points, h, rho)
 
     monkeypatch.setattr(oracle_module, "_tile_bounds", recording_bounds)
     pruned, result = recorded_scan(monkeypatch, lambda: grid_min_ratio(TRAPEZOID))
-    assert all(len(hs) * len(points) * m <= 2**22 for points, hs in pruned)
-    assert len(pruned) == 1  # the first round's kept tiles fit in one call
-    # every later round is a window of 24 x 24 points at all 33 heights, certified
-    assert windows == [(576, 33)] * spec.refine_rounds
+    assert all(len(hs) * len(points) * m <= 2**22 for points, hs, _ in pruned)
+    # the first round's kept tiles fit in one call; every later round is the window of
+    # 12 x 12 points at all 33 heights, certified
+    assert [kind for *_, kind in pruned] == ["kernel"] + ["window"] * spec.refine_rounds
+    assert windows == [(144, 33)] * spec.refine_rounds
     assert result[0].tobytes() == full_result[0].tobytes() and result[1:] == full_result[1:]
     point, height, value = result
     best = optimal_cone(TRAPEZOID)
@@ -468,36 +491,138 @@ def test_pruned_scans_equal_full_scans_bitwise(resolution):
             assert (point.tobytes(), height, value) == (expected[0].tobytes(), *expected[1:]), i
 
 
-def test_window_rounds_are_certified_or_fall_back_bitwise(monkeypatch):
-    # At the default resolution every later round first evaluates the window of 3 x 3
-    # tiles around the incumbent's.  On STRESS, ratio scans at three heights take both
-    # branches: the stars, the 1e7 shift and the 1e-150 and 1e150 scales certify every
-    # window, the U and the thin bases fall back to the tile pass each round.  Each
-    # scan is a full scan's bit for bit
+def recorded_rounds(monkeypatch, scan):
+    """The rounds of ``scan()``, each a string of its ``_tile_bounds`` calls, and its result:
+    "a" a certified 12 x 12 window, "b" one that failed, "c" and "d" the same for 24 x 24,
+    and "T" a tile pass.  So a round is "a" or "bc" when a window is certified, "bdT" or
+    "bT" when every window it tried failed, and "T" when it tried none."""
     calls = []
     true_bounds = oracle_module._tile_bounds
 
     def recording(poly, points, h, rho):
-        calls.append("W" if np.ndim(rho) == 0 else "T")  # a window has one rho, a tile pass one a tile
-        return true_bounds(poly, points, h, rho)
+        result = true_bounds(poly, points, h, rho)
+        if np.ndim(rho) == 0:  # a window has one rho, a tile pass one a tile
+            calls.append("abcd"[2 * (len(points) == 576) + (not certified(*result))])
+        else:
+            calls.append("T")
+        return result
 
-    monkeypatch.setattr(oracle_module, "_tile_bounds", recording)
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle_module, "_tile_bounds", recording)
+        result = scan()
+    rounds = re.findall("a|bc|bd?T|T", "".join(calls))
+    assert "".join(rounds) == "".join(calls)
+    return rounds, result
+
+
+def test_window_rounds_are_certified_or_fall_back_bitwise(monkeypatch):
+    # At the default resolution every later round first evaluates the 12 x 12 window
+    # around the incumbent, then, if that fails, the 24 x 24 one; after a round whose
+    # windows all fail, the scan makes tile passes only.  On STRESS, ratio scans at
+    # three heights take every branch: the stars, the 1e7 shift and the 1e-150 and
+    # 1e150 scales certify 12 x 12 windows, the U twice needs 24 x 24, and the thin
+    # bases fail both in their second round.  Each scan is a full scan's bit for bit
+    tally = dict.fromkeys(("a", "bc", "bdT", "bT", "T"), 0)
     for i, poly in enumerate(STRESS):
         spec = default_grid_spec(poly)
         scale = 2.0 * poly.area / poly.perimeter
-        point, height, value = grid_min_ratio(poly, spec, h_samples=3)
+        rounds, (point, height, value) = recorded_rounds(monkeypatch, lambda: grid_min_ratio(poly, spec, h_samples=3))
         expected = full_scan(poly, spec, (0.05 * scale, 10.0 * scale), 3, lambda b, h: ratio(poly, b, h))
         assert (point.tobytes(), height, value) == (expected[0].tobytes(), *expected[1:]), i
-    rounds = "".join(calls)
-    fallbacks = rounds.count("WT")  # a window whose sides fail, then the tile pass
-    certified = rounds.count("W") - fallbacks
-    assert certified >= 30 and fallbacks >= 30  # 36 and 42 here
+        assert re.fullmatch("T(a|bc|T)*(bd?TT*)?", "".join(rounds)), (i, rounds)  # no window after a failed round
+        for kind in rounds[1:]:
+            tally[kind] += 1
+    # 12-certified, 24-certified, both failed and tile-only: 47, 2, 7 and 35 here
+    assert tally["a"] >= 30 and tally["bc"] >= 1 and tally["bdT"] >= 5 and tally["T"] >= 30, tally
+
+
+def coarse_ratio_scan(poly):
+    """The oracle workload's coarse ratio scan: 41 points an axis, 5 rounds and 7 heights
+    over 0.5 to 8 times 2 A / P, as ``(spec, h_range, h_samples, score)``."""
+    scale = 2.0 * poly.area / poly.perimeter
+    spec = GridSpec(box=default_grid_spec(poly).box, resolution=41, refine_rounds=5)
+    return spec, (0.5 * scale, 8.0 * scale), 7, lambda b, h: ratio(poly, b, h)
+
+
+@pytest.mark.parametrize(
+    "vertices, later",
+    [
+        pytest.param(TRAPEZOID.vertices, ["a"] * 5, id="trapezoid"),
+        pytest.param(helpers.random_triangle(np.random.default_rng(11)), ["a"] * 5, id="triangle"),
+        pytest.param(helpers.random_star_polygon(np.random.default_rng(12)), ["a"] * 5, id="star"),
+        pytest.param(helpers.random_convex_polygon(np.random.default_rng(79)), ["bT"] + ["T"] * 4, id="convex"),
+    ],
+)
+def test_coarse_ratio_scans_certify_later_rounds_bitwise(monkeypatch, vertices, later):
+    # at 41 points an axis only the 12 x 12 window is at most a quarter of the grid;
+    # it certifies every later round on three bases, and on the convex one its
+    # second round fails it, which ends the windows
+    poly = build_polygon(vertices)
+    spec, h_range, samples, score = coarse_ratio_scan(poly)
+    rounds, (point, height, value) = recorded_rounds(
+        monkeypatch, lambda: grid_min_ratio(poly, spec, h_range=h_range, h_samples=samples))
+    expected = full_scan(poly, spec, h_range, samples, score)
+    assert (point.tobytes(), height, value) == (expected[0].tobytes(), *expected[1:])
+    assert rounds == ["T", *later]
+
+
+SLIVER = helpers.rotate_translate([(0, 0), (1, 0), (0.7, 0.02), (0.3, 0.02)], 0.6, (2.0, 1.0))
+
+
+def test_no_window_follows_a_round_whose_windows_all_failed(monkeypatch):
+    # on a thin turned quadrilateral the second round's windows all fail, on the
+    # default grid both, on the coarse one the only one that fits; every later round
+    # then makes a tile pass, and the scans stay full scans bit for bit
+    poly = build_polygon(SLIVER)
+    h = 2.0 * poly.area / poly.perimeter
+    spec = default_grid_spec(poly)
+    rounds, (point, value) = recorded_rounds(monkeypatch, lambda: grid_min_boundary(poly, h, spec))
+    assert rounds == ["T", "bdT"] + ["T"] * 5
+    expected = full_scan(poly, spec, (h, h), 1, lambda b, _: b)
+    assert (point.tobytes(), value) == (expected[0].tobytes(), expected[2])
+    spec, h_range, samples, score = coarse_ratio_scan(poly)
+    rounds, (point, height, value) = recorded_rounds(
+        monkeypatch, lambda: grid_min_ratio(poly, spec, h_range=h_range, h_samples=samples))
+    assert rounds == ["T", "bT"] + ["T"] * 4
+    expected = full_scan(poly, spec, h_range, samples, score)
+    assert (point.tobytes(), height, value) == (expected[0].tobytes(), *expected[1:])
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("resolution", [41, 201])
+def test_windows_stay_off_the_last_row_and_column(monkeypatch, resolution, axis):
+    # The declared box ends one cell past the trapezoid's center at h = 1 on one axis,
+    # so the first round's best point is that axis's second to last grid point.  The
+    # second box is clipped at that end, its last row (or column), and the incumbent
+    # sits 6 points before it, where a centred 12 x 12 window would reach it: later
+    # rounds try windows, none at that end, and the scan is a full scan's bit for bit
+    s = 0.01
+    lower, upper = [0.9169 - (resolution - 2) * s, -0.2], [0.9169 + s, 0.2]
+    vertices = TRAPEZOID.vertices
+    if axis:  # mirrored in the diagonal, and listed counterclockwise again
+        lower, upper, vertices = lower[::-1], upper[::-1], vertices[::-1, ::-1]
+    poly = build_polygon(vertices)
+    spec = GridSpec(box=(tuple(lower), tuple(upper)), resolution=resolution, refine_rounds=3)
+    windows = []
+    true_bounds = oracle_module._tile_bounds
+
+    def recording(poly, points, h, rho):
+        if np.ndim(rho) == 0:
+            windows.append(np.array(points, dtype=float))
+        return true_bounds(poly, points, h, rho)
+
+    monkeypatch.setattr(oracle_module, "_tile_bounds", recording)
+    point, value = grid_min_boundary(poly, 1.0, spec)
+    assert windows  # in the later rounds
+    assert all(points[:, axis].max() < upper[axis] for points in windows)
+    expected = full_scan(poly, spec, (1.0, 1.0), 1, lambda b, _: b)
+    assert (point.tobytes(), value) == (expected[0].tobytes(), expected[2])
 
 
 def test_default_scan_work_is_pinned(monkeypatch):
     # the work of the trapezoid's default scan at h = 1, in counts that do not
     # depend on the machine: the points of every boundary_areas call, and of every
-    # _kernel call: the first round's 25 x 25 tile centers, then the 24 x 24 window
+    # _kernel call: the first round's 25 x 25 tile centers, then the 12 x 12 window
     # that each of the 6 later rounds evaluates through _tile_bounds, all certified
     scanned, kernel = [], []
     true_eval, true_kernel = oracle_module.boundary_areas, oracle_module._kernel
@@ -514,7 +639,7 @@ def test_default_scan_work_is_pinned(monkeypatch):
     monkeypatch.setattr(oracle_module, "_kernel", counting_kernel)
     grid_min_boundary(TRAPEZOID, 1.0)
     assert scanned == [576]  # as perfbench's oracle.grid_points counts them
-    assert kernel == [625] + [576] * 6
+    assert kernel == [625] + [144] * 6
 
 
 def test_tile_bound_allowance_covers_the_rounding():
