@@ -156,15 +156,14 @@ def _checked_height(poly: Polygon, height) -> float:
     return h
 
 
-def center_at_height(poly: Polygon, height, x0=None) -> CenterResult:
-    """Minimize the cone boundary area over the apex projection at fixed height.
+def center_at_height(poly: Polygon, height) -> CenterResult:
+    """Minimize the cone boundary area over the apex projection at fixed height,
+    from the tall-cone limit (module docstring).
 
     Parameters
     ----------
     poly : Polygon
     height : finite positive float
-    x0 : array_like, optional
-        Finite starting point; defaults to the tall-cone limit (module docstring).
 
     Notes
     -----
@@ -172,27 +171,13 @@ def center_at_height(poly: Polygon, height, x0=None) -> CenterResult:
     A step converges when it, plus how far rounding in the gradient can move it,
     is at most ``TOL * diameter`` long and at most ``min_i s_i / 8``; unlike the
     gradient, which shrinks like h**2, it needs no scale in x or h.  A trial's
-    slope bound is 0, by convexity.  The Hessian determinant is lost on thin
-    bases whose long edges are parallel and off the axes, and for ``h /
-    diameter`` beyond about 1e-77 or 1e154.  Raises ``SolverError``, before any
-    step, where ``perimeter * h`` overflows, or where ``x0`` is so far from the
-    base that the sums of the model there can; a step that goes that far counts
-    as a lost Hessian, and one more than a diameter beyond the iterate's own
-    distance from the tall-cone limit is cut to that length.
+    slope bound is 0, by convexity.  A step more than a diameter beyond the
+    iterate's own distance from the tall-cone limit is cut to that length.  The
+    Hessian determinant is lost on thin bases whose long edges are parallel and
+    off the axes, and for ``h / diameter`` beyond about 1e-77 or 1e154.  Raises
+    ``SolverError``, before any step, where ``perimeter * h`` overflows.
     """
-    h = _checked_height(poly, height)
-    x = poly._tall_limit if x0 is None else _finite_point(x0, "starting point")
-    if x0 is not None and not _reach_test(poly)(h, *x.tolist()):
-        raise SolverError(f"boundary area at h={h:g} is too large: x0 is too far from the base")
-    return _centers(poly, [h], [tuple(x.tolist())])[0]
-
-
-def _reach_test(poly: Polygon):
-    """``within(h, x, y)``: whether ``max(perimeter, 2) * (h + |(x, y) - ref|)`` is finite, ref the
-    tall-cone limit.  A model term is at most ``2 s_i <= 2 (|d_i(ref)| + h + |x - ref|)``, so past
-    ref's sums that bounds the sums at (x, y)."""
-    size, (rx, ry) = max(poly.perimeter, 2.0), poly._tall_limit.tolist()
-    return lambda h, x, y: math.isfinite(size * (h + math.hypot(x - rx, y - ry)))
+    return _centers(poly, [_checked_height(poly, height)], [tuple(poly._tall_limit.tolist())])[0]
 
 
 def _centers(poly: Polygon, heights, starts) -> list[CenterResult]:
@@ -202,13 +187,13 @@ def _centers(poly: Polygon, heights, starts) -> list[CenterResult]:
     single = len(heights) == 1
     h = heights[0] if single else np.array(heights)[:, None, None]
     half, abs_normals, products = poly._half_lengths, poly._abs_normals, poly._normal_products
-    within, (rx, ry) = _reach_test(poly), poly._tall_limit.tolist()
+    rx, ry = poly._tall_limit.tolist()
 
     forms = None  # each row's form of the model: picked at its start, then kept
 
     def evaluate(problems, points):
         """One tuple a row: value, gradient, Hessian ``sum_i w_i n_i n_i^T`` with ``w_i = a_i
-        h**2 / (2 s_i**3)``, the sums that bound the gradient's rounding, ``min_i s_i`` and h."""
+        h**2 / (2 s_i**3)``, the sums that bound the gradient's rounding and ``min_i s_i``."""
         nonlocal forms
         hk, form = h, forms
         if len(problems) < len(heights):
@@ -221,12 +206,12 @@ def _centers(poly: Polygon, heights, starts) -> list[CenterResult]:
         # how far rounding in the gradient, up to eps / 2 per term and component, moves it
         error = np.abs(grad_w) @ abs_normals
         if single:
-            return [(float(value), grad.tolist(), hess.tolist(), error.tolist(), float(slant.min()), h)]
-        rows = value[:, 0], grad[:, 0], hess[:, 0], error[:, 0], slant.min(axis=-1)[:, 0], hk[:, 0, 0]
+            return [(float(value), grad.tolist(), hess.tolist(), error.tolist(), float(slant.min()))]
+        rows = value[:, 0], grad[:, 0], hess[:, 0], error[:, 0], slant.min(axis=-1)[:, 0]
         return zip(*(row.tolist() for row in rows))
 
     def propose(z, model):
-        _, (gx, gy), (hxx, hxy, _, hyy), (ex, ey), least, hz = model
+        _, (gx, gy), (hxx, hxy, _, hyy), (ex, ey), least = model
         # det under- or overflows for h/diameter beyond ~1e-77 or ~1e154, and
         # is rounding noise when the heaviest edges are parallel and off the axes
         det = hxx * hyy - hxy * hxy
@@ -234,9 +219,6 @@ def _centers(poly: Polygon, heights, starts) -> list[CenterResult]:
             return None
         px, py = z
         sx, sy = (hxy * gy - hyy * gx) / det, (hxy * gx - hxx * gy) / det
-        # lost, too, where the trial fails the bound on x0: a subnormal weight can pass the det test
-        if not within(hz, px + sx, py + sy):
-            return None
         noise = 0.5 * _EPS * math.hypot(hyy * ex + abs(hxy) * ey, abs(hxy) * ex + hxx * ey) / det
         length, reach = math.hypot(sx, sy), poly.diameter + math.hypot(px - rx, py - ry)
         # at most D past z's distance from ref: where h << |d_i| a longer step fails every halving
@@ -309,9 +291,9 @@ def optimal_cone(poly: Polygon) -> OptimalCone:
     dropped.  A step converges when its x part is at most ``TOL * diameter`` and
     its u part at most ``TOL``, each plus how far rounding in the gradient and in
     the position moves it.  A trial's slope bound is ``error @ |step|``, as phi's
-    decrease falls below its rounding long before its slope does.  A
-    ``center_at_height`` solve at the final height and projection certifies the
-    answer and supplies the model guard; ``converged`` needs both.  Raises
+    decrease falls below its rounding long before its slope does.  The
+    ``center_at_height`` loop at the final height, started at the final projection,
+    certifies the answer and supplies the model guard; ``converged`` needs both.  Raises
     ``SolverError`` for a ratio or a ``perimeter * h``, trial steps too, beyond
     the float range."""
     z = (*poly._tall_limit.tolist(), math.log(OPTIMAL_HEIGHT_RATIO * 2.0 * poly.area / poly.perimeter))
@@ -336,7 +318,7 @@ def optimal_cone(poly: Polygon) -> OptimalCone:
         return line, float(grad @ step), done, stalled, lambda m: m[1] @ step <= m[3] @ abs(step)
 
     [z], [iterations], [converged] = _newton(evaluate, propose, [z], evaluate([0], [z]))
-    certified = center_at_height(poly, math.exp(z[2]), x0=z[:2])
+    certified = _centers(poly, [_checked_height(poly, math.exp(z[2]))], [z[:2]])[0]
     return OptimalCone(
         center=certified.center,
         height=certified.height,

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -346,6 +347,25 @@ def run_module(*argv):
         capture_output=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_listed_calls_exit_with_their_listed_status(capsys, monkeypatch):
+    # each line of the list is an exit status, then the arguments, with paths from the repository
+    # root; the CI workflow runs the same list through the installed script and python -m conecenter
+    monkeypatch.chdir(ROOT)
+    wrong = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for line in (ROOT / "tests" / "cli_calls" / "calls.txt").read_text().splitlines():
+            expected, *argv = line.split()
+            try:
+                status = main(argv)
+            except SystemExit as exc:  # argparse rejects the arguments
+                status = exc.code
+            if status != int(expected):
+                wrong.append((line, status))
+    capsys.readouterr()
+    assert wrong == []
 
 
 def test_module_entry_point_runs():

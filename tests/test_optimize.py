@@ -46,6 +46,13 @@ U_SHAPE = build_polygon([(0, 0), (4, 0), (4, 3), (3, 3), (3, 1), (1, 1), (1, 3),
 TRAPEZOID_SWEEP = {1.0: 0.9169, 2.0: 0.9079, 3.0: 0.9045, 4.0: 0.9031}
 
 
+def solve_from(poly, h, start):
+    """The fixed-height loop from ``start``: ``center_at_height`` starts only at the tall-cone
+    limit, but ``optimal_cone``'s certifying solve starts where its joint loop ended."""
+    h = optimize_module._checked_height(poly, h)
+    return optimize_module._centers(poly, [h], [tuple(map(float, start))])[0]
+
+
 def test_triangle_center_is_incenter_at_every_height():
     rng = np.random.default_rng(43)
     for _ in range(20):
@@ -102,7 +109,7 @@ def test_thin_quadrilaterals_are_never_marked_converged_off_center():
                             continue
                         center = reference.center
                     start = frame @ np.array([0.3, 0.25 * e])
-                    res = center_at_height(poly, ratio * poly.diameter, x0=start)
+                    res = solve_from(poly, ratio * poly.diameter, start)
                     assert res.iterations < 50, (e, ratio)
                     if res.converged or ratio >= 1e-2:
                         assert res.converged, (e, ratio)
@@ -182,7 +189,7 @@ def test_fuzzed_converged_centers_lie_within_tol_of_a_60_digit_reference():
 def test_vertex_starts_are_never_marked_converged_off_center():
     # within about h of an edge line the Hessian weight a / (2h) makes the
     # Newton step about h long, shorter than tol * diameter at small h
-    res = center_at_height(TRAPEZOID, 1e-12, x0=(0.0, 0.0))
+    res = solve_from(TRAPEZOID, 1e-12, (0.0, 0.0))
     assert res.converged
     assert abs(res.center[0] - 0.928657210356792) <= 1e-9
     star = build_polygon(helpers.random_star_polygon(np.random.default_rng(107)))
@@ -191,7 +198,7 @@ def test_vertex_starts_are_never_marked_converged_off_center():
             h = ratio * poly.diameter
             reference = center_at_height(poly, h)
             for vertex in poly.vertices:
-                res = center_at_height(poly, h, x0=vertex)
+                res = solve_from(poly, h, vertex)
                 if not res.converged:
                     continue
                 grad = boundary_gradient(poly, res.center, h)
@@ -332,7 +339,7 @@ def test_triangle_boundary_reduces_to_incircle_formula():
 
 
 def test_center_respects_starting_point_and_still_converges():
-    far = center_at_height(TRAPEZOID, 1.0, x0=(40.0, -35.0))
+    far = solve_from(TRAPEZOID, 1.0, (40.0, -35.0))
     near = center_at_height(TRAPEZOID, 1.0)
     assert far.converged
     assert np.linalg.norm(far.center - near.center) <= 1e-7
@@ -345,15 +352,11 @@ def test_center_rejects_bad_arguments():
         center_at_height(TRAPEZOID, -1.0)
     with pytest.raises(InputError, match="^height must be finite and > 0"):
         center_at_height(TRAPEZOID, math.inf)
-    for x0 in [(math.nan, 0.0), (math.inf, 0.0), (1.0, 0.0, 0.0)]:
-        with pytest.raises(InputError, match="starting point must be a finite 2-D point"):
-            center_at_height(TRAPEZOID, 1.0, x0=x0)
 
 
 @pytest.mark.parametrize("point", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0), (1.0, 0.0, 0.0)])
 def test_point_functions_reject_a_point_that_is_not_finite_and_2d(point):
-    # nan used to come back as nan, inf as a RuntimeWarning, a 3-D point as matmul's ValueError;
-    # center_at_height's x0 shares the check (test_center_rejects_bad_arguments)
+    # nan used to come back as nan, inf as a RuntimeWarning, a 3-D point as matmul's ValueError
     calls = [
         ("apex projection", lambda: Apex(point, 1.0)),
         ("apex projection", lambda: boundary_gradient(TRAPEZOID, point, 1.0)),
@@ -798,37 +801,13 @@ def test_boundary_area_beyond_the_float_range_raises_without_a_warning():
 
 
 def test_center_from_a_start_whose_sums_overflow_raises_without_a_warning():
-    # at (+-1e308, 1e308) the lateral sum at the start is beyond the float range
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for x0 in [(1e308, 1e308), (-1e308, 1e308)]:
-            with pytest.raises(SolverError, match="^boundary area at h=1 is too large: x0 is too far from"):
-                center_at_height(TRAPEZOID, 1.0, x0=x0)
-        # a far start whose sums are finite runs; its Hessian is lost there, so it is flagged
-        far = center_at_height(TRAPEZOID, 1.0, x0=(1e200, 0.0))
-    assert far.converged is False and far.iterations == 0
-    assert far.boundary_area == pytest.approx(4e200, rel=1e-12)
-    # a start near the base runs however large the base: here perimeter * diameter overflows
+    # a solve starts at the tall-cone limit, inside the base, so its sums there are finite
+    # however large the base: here perimeter * diameter overflows.  It converges in 0 steps
     huge = build_polygon([(0.0, 0.0), (1.2e154, 0.0), (1.2e154, 1.2e151), (0.0, 1.2e151)])
-    assert center_at_height(huge, 1.2e151, x0=centroid(huge)).converged
-
-
-def test_far_starts_parallel_to_two_edges_end_without_a_warning():
-    # from these starts a Hessian weight is subnormal yet passes the determinant test; its
-    # step overflowed, or went where the model's sums do, and numpy warned on every trial
-    # (94 warnings on the square).  Such a step counts as a lost Hessian
-    cases = [
-        (SQUARE, 1e-9, 1e97),
-        (U_SHAPE, 1e-9, 10**96.75),
-        (U_SHAPE, 1.0, 10**102.75),
-        (U_SHAPE, 1e6, 10**106.75),
-    ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for poly, h, x in cases:
-            res = center_at_height(poly, h, x0=(x, 0.0))
-            assert res.converged is False and res.iterations == 0, (h, x)
-            assert res.center.tolist() == [x, 0.0]
+        res = center_at_height(huge, 1.2e151)
+    assert res.converged and res.iterations == 0
 
 
 def _tangential_bases():
@@ -892,17 +871,21 @@ def test_tangential_bases_converge_in_zero_steps():
                 assert best.converged and best.iterations == 0 if flagged else math.isfinite(best.ratio)
 
 
+def _star_bases():
+    """A star base from the benchmark pool and the 20 seed-5 ``random_star_polygon`` bases."""
+    star = [(-1.5418988389393435, -0.6888380153647979), (-1.5789170497742218, 0.9571945974603633),
+            (-5.495196535211275, -1.9352452244024532), (-6.14041381651279, -2.214886307757249),
+            (-7.748406312673899, -3.291251252292346)]
+    rng = np.random.default_rng(5)
+    return [np.array(star)] + [helpers.random_star_polygon(rng) for _ in range(20)]
+
+
 def test_star_bases_converge_at_small_heights():
     # at h << |d_i| the model is near piecewise linear and a start outside a reflex edge's line
     # makes a Newton step of up to ~1e13 D that failed every halving; capped at the diameter
     # past the iterate's distance from the start, it converges.  The first base stopped
     # unconverged after 0 steps at h = 1e-9 D; so did 6 of the 80 seed-5 solves
-    star = [(-1.5418988389393435, -0.6888380153647979), (-1.5789170497742218, 0.9571945974603633),
-            (-5.495196535211275, -1.9352452244024532), (-6.14041381651279, -2.214886307757249),
-            (-7.748406312673899, -3.291251252292346)]
-    rng = np.random.default_rng(5)
-    bases = [np.array(star)] + [helpers.random_star_polygon(rng) for _ in range(20)]
-    for vertices in bases:
+    for vertices in _star_bases():
         poly = build_polygon(vertices)
         assert center_at_height(poly, 1e-12 * poly.diameter).converged, vertices
         for ratio in (1e-9, 1e-6, 1e-3):  # at 1e-12 the decimal reference's own search can stall
@@ -910,6 +893,27 @@ def test_star_bases_converge_at_small_heights():
             x, y = helpers.decimal_center(poly.vertices, ratio * poly.diameter)
             off = math.hypot(float(x - Decimal(res.center[0])), float(y - Decimal(res.center[1])))
             assert res.converged and off <= optimize_module.TOL * poly.diameter, (vertices, ratio)
+
+
+@pytest.mark.parametrize("k", [-450, 300, 490, 508])
+def test_star_bases_scaled_by_a_power_of_two_give_the_scaled_answers(k):
+    # scaling the base and h by 2**k is exact, so every solve must be the unscaled one's, bit
+    # for bit, with the center times 2**k.  A reach bound, tested on the Newton step before
+    # the step cap shortened it, overflowed here: at 2**490 and 2**508 it ended 10 and 20 of
+    # these 105 solves unconverged after 0 steps.  Left out: at 2**509 some of these bases are
+    # refused, as their squared vertex differences overflow, and perimeter * h overflows at
+    # h = D; at 2**-500 h**2 is subnormal at h = 1e-12 D, where the model loses its digits
+    # from any start
+    scale = 2.0**k
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for vertices in _star_bases():
+            poly, scaled = build_polygon(vertices), build_polygon(vertices * scale)
+            for ratio in (1e-12, 1e-9, 1e-6, 1e-3, 1.0):
+                want = center_at_height(poly, ratio * poly.diameter)
+                res = center_at_height(scaled, ratio * poly.diameter * scale)
+                assert res.center.tolist() == (want.center * scale).tolist(), (vertices, ratio)
+                assert (res.iterations, res.converged) == (want.iterations, want.converged), (vertices, ratio)
 
 
 def test_newton_steps_on_seeded_convex_and_star_bases_stay_within_budget():

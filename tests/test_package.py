@@ -23,10 +23,9 @@ def test_each_public_name_is_listed_by_exactly_one_module():
 
 TRAPEZOID = conecenter.build_polygon([(0.0, -1.0), (2.0, -2.0), (2.0, 2.0), (0.0, 1.0)])
 
-# each entry point with one argument set to ``value``; None is a default for x0 and h_range
+# each entry point with one argument set to ``value``; None is a default for h_range
 NOT_A_NUMBER = {
     "center_at_height height": lambda v: conecenter.center_at_height(TRAPEZOID, v),
-    "center_at_height x0": lambda v: conecenter.center_at_height(TRAPEZOID, 1.0, x0=(v, 0.0)),
     "Apex height": lambda v: conecenter.Apex((0.0, 0.0), v),
     "Apex projection": lambda v: conecenter.Apex(v, 1.0),
     "phi": lambda v: conecenter.phi(v),
