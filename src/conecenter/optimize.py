@@ -32,7 +32,7 @@ import numpy as np
 
 from .cone import OPTIMAL_HEIGHT_RATIO, _local_model, _ratio
 from .errors import InputError, SolverError, _finite_point, _number, _positive_height
-from .geometry import Polygon, triangle_incenter
+from .geometry import Polygon
 
 __all__ = [
     "CenterResult",
@@ -323,9 +323,7 @@ def optimal_cone(poly: Polygon) -> OptimalCone:
         center=certified.center,
         height=certified.height,
         ratio=_ratio(poly, certified.boundary_area, certified.height),
-        height_over_inradius=(
-            certified.height / triangle_incenter(poly).radius if len(poly.vertices) == 3 else None
-        ),
+        height_over_inradius=certified.height / (2.0 * poly.area / poly.perimeter) if len(poly.vertices) == 3 else None,
         inner_results=(certified,),
         converged=converged and certified.converged,
         iterations=iterations,

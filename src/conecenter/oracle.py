@@ -1,6 +1,6 @@
 """Grid oracle, independent of the solvers: it refines a rectangular grid
 around the incumbent best point with the cone kernel alone.  A round either
-evaluates a window around the incumbent, 12 or 24 points a side, whose sides'
+evaluates the 12 x 12 window of grid points around the incumbent, whose sides'
 convex lower bounds, less a rounding allowance, rule out every point outside
 it, or skips the tiles whose bound cannot reach the least value; either way it
 returns what a scan of every grid point would.
@@ -104,21 +104,20 @@ def _refine(poly: Polygon, spec: GridSpec, h_range, samples, score):
     heights are ``np.linspace`` bit for bit unless a step underflows.  The
     grid is never formed: every point set is built, x-major, from slices of
     the axes.  From the second round on, one :func:`_tile_bounds` call
-    evaluates the 12 x 12 window centred on the incumbent's grid index and,
-    if it fails, another the 24 x 24 one, each only where it is at most a
-    quarter of the grid and off its border rows and columns.  A window's
-    values are the round's scan when, at every height, the lower bounds on
-    its four sides, within half a cell diagonal of each side point, exceed
-    its least value plus the point's allowance: ``B`` is convex, so on the
-    segment from that least point to a grid point outside, which crosses a
-    side, ``B`` is at most the larger end, and no point outside ties or
-    beats it.  Once every window a round tried fails, no later round tries
-    one.  Other rounds evaluate the centers of 8 x 8 tiles through
-    :func:`_tile_bounds` and scan, in one :func:`boundary_areas` call (more
-    past 32 MiB of distances), the tiles whose bounds do not exceed (or are
-    nan) the least center value at some height.  Either way the ``argmin`` is
-    a full scan's: BLAS sums a lone point and the last ``len % 4`` of a call
-    in another order, and a window and every tile but the corner tile, which
+    evaluates the 12 x 12 window centred on the incumbent's grid index,
+    wherever it is off the grid's border rows and columns.  Its values are
+    the round's scan when, at every height, the lower bounds on its four
+    sides, within half a cell diagonal of each side point, exceed its least
+    value plus the point's allowance: ``B`` is convex, so on the segment from
+    that least point to a grid point outside, which crosses a side, ``B`` is
+    at most the larger end, and no point outside ties or beats it.  A round
+    whose window fails, or does not fit, evaluates the centers of 8 x 8 tiles
+    through :func:`_tile_bounds` and scans, in one :func:`boundary_areas`
+    call (more past 32 MiB of distances), the tiles whose bounds do not
+    exceed (or are nan) the least center value at some height; the next
+    round tries the window again.  Either way the ``argmin`` is a full
+    scan's: BLAS sums a lone point and the last ``len % 4`` of a call in
+    another order, and a window and every tile but the corner tile, which
     holds the grid's last point and comes last, are a multiple of 4 points.
     The best ``score(boundary, height)`` re-centers the box and the interval,
     each zoomed and clipped into its range.  Returns ``(point, height, score)``.
@@ -132,7 +131,6 @@ def _refine(poly: Polygon, spec: GridSpec, h_range, samples, score):
     sizes = ends - starts
     mid = (starts + ends - 1) // 2  # centers
     reach = ends - 1 - mid  # steps from a tile's center to its farthest point
-    windows = [n for n in (12, 24) if 4 * n * n <= r * r]  # sides of windows of at most a quarter of the grid
     best = (None, math.nan, math.inf)
     for _ in range(spec.refine_rounds + 1):
         steps = [(hi - lo) / max(len(i) - 1, 1) for lo, hi, i in zip(lower, upper, indices)]
@@ -140,18 +138,13 @@ def _refine(poly: Polygon, spec: GridSpec, h_range, samples, score):
         x[-1], y[-1], heights[-1] = upper
         scans = None
         if best[0] is not None:
-            k = [int(axis.searchsorted(p)) for axis, p in zip((x, y), best[0].tolist())]
-            fits = [n for n in windows if n // 2 < min(k) and max(k) + n // 2 < r]  # off the border
-            for n in fits:
-                a, b = (i - n // 2 for i in k)
-                points = _product(x[a:a + n], y[b:b + n])
+            a, b = (int(axis.searchsorted(p)) - 6 for axis, p in zip((x, y), best[0].tolist()))
+            if 0 < min(a, b) and max(a, b) + 12 < r:  # the 12 x 12 window, off the border rows and columns
+                points = _product(x[a:a + 12], y[b:b + 12])
                 window, lb, allowance = _tile_bounds(poly, points, heights, 0.5 * math.hypot(steps[0], steps[1]))
-                gap = (lb - allowance - window.min(axis=1, keepdims=True)).reshape(samples, n, n)
-                if (gap[:, ::n - 1] > 0).all() and (gap[:, :, ::n - 1] > 0).all():  # every side, at every height
+                gap = (lb - allowance - window.min(axis=1, keepdims=True)).reshape(samples, 12, 12)
+                if (gap[:, ::11] > 0).all() and (gap[:, :, ::11] > 0).all():  # every side, at every height
                     scans = [(heights.tolist(), window)]
-                    break
-            if fits and scans is None:
-                windows = []  # every window failed: tile passes for the rest of the scan
         if scans is None:
             rho = np.hypot.outer(reach * steps[0], reach * steps[1]).ravel()
             center, lb, _ = _tile_bounds(poly, _product(x[mid], y[mid]), heights, rho)

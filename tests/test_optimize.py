@@ -800,7 +800,7 @@ def test_boundary_area_beyond_the_float_range_raises_without_a_warning():
     assert entry.result is None and entry.error.startswith("SolverError: boundary area at h=1e+308")
 
 
-def test_center_from_a_start_whose_sums_overflow_raises_without_a_warning():
+def test_huge_base_converges_from_the_default_start_without_a_warning():
     # a solve starts at the tall-cone limit, inside the base, so its sums there are finite
     # however large the base: here perimeter * diameter overflows.  It converges in 0 steps
     huge = build_polygon([(0.0, 0.0), (1.2e154, 0.0), (1.2e154, 1.2e151), (0.0, 1.2e151)])

@@ -198,7 +198,7 @@ def test_grid_axes_are_linspace_bit_for_bit(monkeypatch):
         assert hs.tobytes() == np.linspace(hs[0], hs[-1], 7).tobytes()
     # pruned, each round scans points of the same grid, x-major: whole tiles, at 41 points
     # an axis four tiles of 8 points and a last one of 9, or a certified window of 12 x 12
-    # points off the border rows and columns (24 x 24 is more than a quarter of the grid)
+    # points off the border rows and columns
     pruned, result = recorded_scan(monkeypatch, lambda: grid_min_ratio(TRAPEZOID, spec, h_samples=3))
     assert [len(hs) for _, hs, _ in pruned] == [3] * len(full)
     assert [kind for *_, kind in pruned] == ["kernel"] + ["window"] * spec.refine_rounds
@@ -419,14 +419,19 @@ def test_finite_diff_gradient_rejects_bad_step():
             finite_diff_gradient(lambda p: 0.0, (0.0, 0.0), step)
 
 
-def full_scan(poly, spec, h_range, samples, score):
+def full_scan(poly, spec, h_range, samples, score, fits=None):
     """The refinement scan without tile pruning: every point of every round's
-    grid, one height per boundary_areas call."""
+    grid, one height per boundary_areas call.  A list ``fits`` gets, for each
+    round after the first, whether the 12 x 12 window centred on the incumbent's
+    grid index stays off the grid's border rows and columns."""
     bound_lo, bound_hi = (np.array(side) for side in spec.box)
     (h_lo, h_hi), lower, upper = h_range, bound_lo, bound_hi
     best = (None, math.nan, math.inf)
     for _ in range(spec.refine_rounds + 1):
-        axes = (np.linspace(lo, hi, spec.resolution) for lo, hi in zip(lower, upper))
+        axes = [np.linspace(lo, hi, spec.resolution) for lo, hi in zip(lower, upper)]
+        if fits is not None and best[0] is not None:
+            k = [int(axis.searchsorted(p)) for axis, p in zip(axes, best[0].tolist())]
+            fits.append(6 < min(k) and max(k) + 6 < spec.resolution)
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
         for h in np.linspace(h_lo, h_hi, samples).tolist():
             row = boundary_areas(poly, grid, h)
@@ -493,16 +498,16 @@ def test_pruned_scans_equal_full_scans_bitwise(resolution):
 
 def recorded_rounds(monkeypatch, scan):
     """The rounds of ``scan()``, each a string of its ``_tile_bounds`` calls, and its result:
-    "a" a certified 12 x 12 window, "b" one that failed, "c" and "d" the same for 24 x 24,
-    and "T" a tile pass.  So a round is "a" or "bc" when a window is certified, "bdT" or
-    "bT" when every window it tried failed, and "T" when it tried none."""
+    "a" a certified 12 x 12 window, "b" one that failed and "T" a tile pass.  So a round is
+    "a" when its window is certified, "bT" when it failed and "T" when it tried none."""
     calls = []
     true_bounds = oracle_module._tile_bounds
 
     def recording(poly, points, h, rho):
         result = true_bounds(poly, points, h, rho)
         if np.ndim(rho) == 0:  # a window has one rho, a tile pass one a tile
-            calls.append("abcd"[2 * (len(points) == 576) + (not certified(*result))])
+            assert len(points) == 144
+            calls.append("ab"[not certified(*result)])
         else:
             calls.append("T")
         return result
@@ -510,30 +515,38 @@ def recorded_rounds(monkeypatch, scan):
     with monkeypatch.context() as patch:
         patch.setattr(oracle_module, "_tile_bounds", recording)
         result = scan()
-    rounds = re.findall("a|bc|bd?T|T", "".join(calls))
+    rounds = re.findall("a|b?T", "".join(calls))
     assert "".join(rounds) == "".join(calls)
     return rounds, result
 
 
 def test_window_rounds_are_certified_or_fall_back_bitwise(monkeypatch):
-    # At the default resolution every later round first evaluates the 12 x 12 window
-    # around the incumbent, then, if that fails, the 24 x 24 one; after a round whose
-    # windows all fail, the scan makes tile passes only.  On STRESS, ratio scans at
-    # three heights take every branch: the stars, the 1e7 shift and the 1e-150 and
-    # 1e150 scales certify 12 x 12 windows, the U twice needs 24 x 24, and the thin
-    # bases fail both in their second round.  Each scan is a full scan's bit for bit
-    tally = dict.fromkeys(("a", "bc", "bdT", "bT", "T"), 0)
+    # At the default resolution every later round where the 12 x 12 window around the
+    # incumbent stays off the border rows and columns evaluates it, and makes a tile
+    # pass when it fails.  On STRESS, ratio scans at three heights certify windows on
+    # the stars, the 1e7 shift and the 1e-150 and 1e150 scales, and fail them on the
+    # thin bases and twice on the U.  At h = 1e9 * diameter B is flat on a star and on
+    # the U, the incumbent is the box's corner and no window fits.  Each scan is a full
+    # scan's bit for bit
+    tally = dict.fromkeys(("a", "bT", "T"), 0)
     for i, poly in enumerate(STRESS):
         spec = default_grid_spec(poly)
         scale = 2.0 * poly.area / poly.perimeter
-        rounds, (point, height, value) = recorded_rounds(monkeypatch, lambda: grid_min_ratio(poly, spec, h_samples=3))
-        expected = full_scan(poly, spec, (0.05 * scale, 10.0 * scale), 3, lambda b, h: ratio(poly, b, h))
-        assert (point.tobytes(), height, value) == (expected[0].tobytes(), *expected[1:]), i
-        assert re.fullmatch("T(a|bc|T)*(bd?TT*)?", "".join(rounds)), (i, rounds)  # no window after a failed round
-        for kind in rounds[1:]:
-            tally[kind] += 1
-    # 12-certified, 24-certified, both failed and tile-only: 47, 2, 7 and 35 here
-    assert tally["a"] >= 30 and tally["bc"] >= 1 and tally["bdT"] >= 5 and tally["T"] >= 30, tally
+        scans = [((0.05 * scale, 10.0 * scale), 3, lambda b, h: ratio(poly, b, h))]
+        if i in (0, 2):
+            h = 1e9 * poly.diameter
+            scans.append(((h, h), 1, lambda b, _: b))
+        for h_range, samples, score in scans:
+            rounds, (point, height, value) = recorded_rounds(
+                monkeypatch, lambda: oracle_module._refine(poly, spec, h_range, samples, score))
+            fits = []
+            expected = full_scan(poly, spec, h_range, samples, score, fits)
+            assert (point.tobytes(), height, value) == (expected[0].tobytes(), *expected[1:]), i
+            assert rounds[0] == "T" and [kind != "T" for kind in rounds[1:]] == fits, (i, rounds)
+            for kind in rounds[1:]:
+                tally[kind] += 1
+    # certified, failed and not tried: 34, 44 and 12 here
+    assert tally["a"] >= 30 and tally["bT"] >= 30 and tally["T"] >= 10, tally
 
 
 def coarse_ratio_scan(poly):
@@ -550,13 +563,13 @@ def coarse_ratio_scan(poly):
         pytest.param(TRAPEZOID.vertices, ["a"] * 5, id="trapezoid"),
         pytest.param(helpers.random_triangle(np.random.default_rng(11)), ["a"] * 5, id="triangle"),
         pytest.param(helpers.random_star_polygon(np.random.default_rng(12)), ["a"] * 5, id="star"),
-        pytest.param(helpers.random_convex_polygon(np.random.default_rng(79)), ["bT"] + ["T"] * 4, id="convex"),
+        pytest.param(helpers.random_convex_polygon(np.random.default_rng(79)), ["bT"] * 3 + ["a"] * 2, id="convex"),
     ],
 )
 def test_coarse_ratio_scans_certify_later_rounds_bitwise(monkeypatch, vertices, later):
-    # at 41 points an axis only the 12 x 12 window is at most a quarter of the grid;
-    # it certifies every later round on three bases, and on the convex one its
-    # second round fails it, which ends the windows
+    # at 41 points an axis the 12 x 12 window certifies every later round on three
+    # bases; on the convex one it fails three rounds, each then making a tile pass,
+    # and certifies the last two
     poly = build_polygon(vertices)
     spec, h_range, samples, score = coarse_ratio_scan(poly)
     rounds, (point, height, value) = recorded_rounds(
@@ -569,33 +582,34 @@ def test_coarse_ratio_scans_certify_later_rounds_bitwise(monkeypatch, vertices, 
 SLIVER = helpers.rotate_translate([(0, 0), (1, 0), (0.7, 0.02), (0.3, 0.02)], 0.6, (2.0, 1.0))
 
 
-def test_no_window_follows_a_round_whose_windows_all_failed(monkeypatch):
-    # on a thin turned quadrilateral the second round's windows all fail, on the
-    # default grid both, on the coarse one the only one that fits; every later round
-    # then makes a tile pass, and the scans stay full scans bit for bit
+def test_sliver_scans_retry_the_window_every_round(monkeypatch):
+    # on a thin turned quadrilateral the window fails in every later round, on the
+    # default grid and on the coarse one; each of those rounds tries it again and then
+    # makes a tile pass, and the scans stay full scans bit for bit
     poly = build_polygon(SLIVER)
     h = 2.0 * poly.area / poly.perimeter
     spec = default_grid_spec(poly)
     rounds, (point, value) = recorded_rounds(monkeypatch, lambda: grid_min_boundary(poly, h, spec))
-    assert rounds == ["T", "bdT"] + ["T"] * 5
+    assert rounds == ["T"] + ["bT"] * 6
     expected = full_scan(poly, spec, (h, h), 1, lambda b, _: b)
     assert (point.tobytes(), value) == (expected[0].tobytes(), expected[2])
     spec, h_range, samples, score = coarse_ratio_scan(poly)
     rounds, (point, height, value) = recorded_rounds(
         monkeypatch, lambda: grid_min_ratio(poly, spec, h_range=h_range, h_samples=samples))
-    assert rounds == ["T", "bT"] + ["T"] * 4
+    assert rounds == ["T"] + ["bT"] * 5
     expected = full_scan(poly, spec, h_range, samples, score)
     assert (point.tobytes(), height, value) == (expected[0].tobytes(), *expected[1:])
 
 
 @pytest.mark.parametrize("axis", [0, 1])
-@pytest.mark.parametrize("resolution", [41, 201])
+@pytest.mark.parametrize("resolution", [17, 41, 201])
 def test_windows_stay_off_the_last_row_and_column(monkeypatch, resolution, axis):
     # The declared box ends one cell past the trapezoid's center at h = 1 on one axis,
     # so the first round's best point is that axis's second to last grid point.  The
     # second box is clipped at that end, its last row (or column), and the incumbent
     # sits 6 points before it, where a centred 12 x 12 window would reach it: later
-    # rounds try windows, none at that end, and the scan is a full scan's bit for bit
+    # rounds try windows, none at that end, and the scan is a full scan's bit for bit.
+    # A grid of 17 points a side, where a window holds half the points, tries them too
     s = 0.01
     lower, upper = [0.9169 - (resolution - 2) * s, -0.2], [0.9169 + s, 0.2]
     vertices = TRAPEZOID.vertices
